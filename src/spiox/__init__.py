@@ -12,7 +12,7 @@ from .errors import NumericalError, ValidationError
 from .geom import LocationSet, NeighborDag, build_nn_dag, nearest_neighbors, order_locations
 from .kernels import KernelParams, corr_matrix, matern
 from .vecchia import (SparseInvChol, VecchiaWorkspace, build_sparse_inv_chol,
-                      dense_chol_factor, unwhiten, whiten)
+                      dense_chol_factor)
 from .ioxcore import (IoxModel, OutcomeMatrix, avg_cross_corr, conditional_loglik,
                       cross_cov_point, cross_cov_set, h_and_r, loglik,
                       matern_zero_cross_corr, zero_distance_cross_corr)
@@ -40,8 +40,8 @@ __all__ = [
     "matern_zero_cross_corr", "nearest_neighbors", "order_locations",
     "parse_config", "posterior_predictive", "predict_full", "predict_partial",
     "run_chain", "simulate_prior_nonreference", "simulate_prior_reference",
-    "unwhiten", "update_beta_response", "update_cluster_assignments",
+    "update_beta_response", "update_cluster_assignments",
     "update_delta", "update_sigma", "update_theta_block", "update_theta_joint",
-    "update_w_single_outcome", "update_w_single_site", "whiten",
+    "update_w_single_outcome", "update_w_single_site",
     "zero_distance_cross_corr",
 ]

@@ -16,7 +16,8 @@ get sequential discrete Gibbs draws.
 
 import math
 import time
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,6 +26,11 @@ from .errors import NumericalError, ValidationError
 from .ioxcore import (IoxModel, conditional_loglik, loglik, whiten_columns,
                       zero_distance_cross_corr)
 from .kernels import KernelParams
+
+# the LAPACK routines behind sla.cho_solve and sla.solve_triangular, called
+# directly (with the arguments the wrappers would pass) in the small solves of
+# every update, where the wrappers' argument checks cost more than the solves
+_potrs, _trtrs = sla.get_lapack_funcs(("potrs", "trtrs"), dtype=float)
 
 # ---------------------------------------------------------------------------
 # priors
@@ -90,15 +96,9 @@ def draw_inverse_wishart(nu, Psi, rng):
     A[np.diag_indices(q)] = np.sqrt(rng.chisquare(nu - np.arange(q)))
     if q > 1:
         A[np.tril_indices(q, -1)] = rng.standard_normal(q * (q - 1) // 2)
-    M = sla.solve_triangular(A, Lp.T, lower=True)
+    M = _trtrs(A.T, Lp.T, lower=0, trans=1)[0]  # A M = Lp^T
     Sigma = M.T @ M
     return 0.5 * (Sigma + Sigma.T)
-
-
-def draw_inverse_gamma(a, b, rng, size=None):
-    """Inverse gamma draw(s) with shape a and scale b (mean b / (a - 1))."""
-    return b / rng.gamma(a, 1.0, size=size) if np.isscalar(b) \
-        else np.asarray(b) / rng.gamma(a, 1.0, size=np.shape(b))
 
 
 # ---------------------------------------------------------------------------
@@ -115,33 +115,12 @@ class McmcState:
         self.B = np.asarray(B, dtype=float)
         self.Delta = None if Delta is None else np.asarray(Delta, dtype=float)
         self.W = None if W is None else np.asarray(W, dtype=float)
-        self.V = None
         self.refresh_V()
-
-    @property
-    def Sigma(self):
-        return self.model.Sigma
-
-    @property
-    def Q(self):
-        return self.model.Q
-
-    @property
-    def theta(self):
-        return self.model.theta
-
-    @property
-    def Pi(self):
-        return self.model.assignments
-
-    @property
-    def latent(self):
-        return self.W is not None
 
     def gp_matrix(self):
         """The matrix the GP-IOX prior applies to: centered data (response
         model) or the latent field (latent model)."""
-        if self.latent:
+        if self.W is not None:
             return self.W
         return self.data.Y - self.data.X @ self.B
 
@@ -183,9 +162,9 @@ def _draw_gaussian_from_precision(P, rhs, rng):
             jitter = 1e-10 * 10 ** attempt
     else:
         raise NumericalError("posterior precision for beta is not SPD after jitter")
-    mean = sla.cho_solve((R, True), rhs)
+    mean = _potrs(R, rhs, lower=1)[0]
     z = rng.standard_normal(P.shape[0])
-    return mean + sla.solve_triangular(R.T, z, lower=False)
+    return mean + _trtrs(R.T, z, lower=0)[0]
 
 
 def update_beta_response(state, data, model, priors, rng):
@@ -248,8 +227,7 @@ PARAM_NAMES = ("phi", "nu", "tau2")
 
 
 def _bounds_for(priors, name):
-    return {"phi": priors.phi_bounds, "nu": priors.nu_bounds,
-            "tau2": priors.tau2_bounds}[name]
+    return getattr(priors, f"{name}_bounds")
 
 
 def free_components(priors):
@@ -334,58 +312,74 @@ class JointAdaptive:
                 self._chol = None
 
 
-def _replace(p, name, value):
-    kw = {nm: getattr(p, nm) for nm in PARAM_NAMES}
-    kw[name] = value
-    return KernelParams(**kw)
+def _install(model, comps, thetas, factors):
+    """Point components comps at the given kernel params and factors; the
+    reject path of every theta update restores the previous ones with it."""
+    for c, p, f in zip(comps, thetas, factors):
+        model.theta[c] = p
+        model.factors[c] = f
 
 
-def update_theta_block(j, state, data, model, priors, rng, scales=None):
-    """Componentwise adaptive random-walk Metropolis on log(phi_j), log(nu_j),
-    log(tau2_j), targeting p(y_j | y_{j^c}, theta) p(theta_j).
+def _accept_prob(logr):
+    return min(1.0, math.exp(min(logr, 0.0)))
 
-    Only valid when outcome j is the sole user of its component (the full,
-    unclustered model). Returns the number of accepted component moves.
+
+def _update_theta_componentwise(c, cols, target, state, model, priors, rng, scales):
+    """Componentwise adaptive random-walk Metropolis on log(phi), log(nu),
+    log(tau2) of component c.
+
+    ``target(G, V)`` is the log density the moves are accepted against, given
+    the GP matrix G and whitened columns V; ``cols`` are the outcome columns
+    that component c whitens. A factor that fails to build rejects the move.
+    Returns the number of accepted component moves.
     """
-    c = int(model.assignments[j])
-    names = free_components(priors)
-    if scales is None:
-        scales = AdaptiveScale(dim=len(names))
+    G = state.gp_matrix()
     accepted = 0
-    resid_j = state.gp_matrix()[:, j]
-    for idx, nm in enumerate(names):
+    for idx, nm in enumerate(free_components(priors)):
         cur = model.theta[c]
-        s = scales.scale(idx)
-        prop_val = math.exp(math.log(getattr(cur, nm)) + s * rng.standard_normal())
+        prop_val = math.exp(math.log(getattr(cur, nm))
+                            + scales.scale(idx) * rng.standard_normal())
         lo, hi = _bounds_for(priors, nm)
         if prop_val < lo or prop_val > hi:
             scales.step(idx, 0.0)
             continue
-        prop = _replace(cur, nm, prop_val)
+        prop = replace(cur, **{nm: prop_val})
         lp_new = _log_prior_transformed(prop, priors)
         lp_old = _log_prior_transformed(cur, priors)
-        val_old = conditional_loglik(j, state.V, model)
+        val_old = target(G, state.V)
         old_factor = model.factors[c]
         try:
             model.set_theta(c, prop)
+            V_try = state.V.copy()
+            for j in cols:
+                V_try[:, j] = model.factors[c].whiten(G[:, j])
+            alpha = _accept_prob(target(G, V_try) - val_old + lp_new - lp_old)
+            ok = rng.random() < alpha
         except NumericalError:
-            model.theta[c] = cur
-            model.factors[c] = old_factor
-            scales.step(idx, 0.0)
-            continue
-        v_new = model.factors[c].whiten(resid_j)
-        V_try = state.V.copy()
-        V_try[:, j] = v_new
-        val_new = conditional_loglik(j, V_try, model)
-        logr = val_new - val_old + lp_new - lp_old
-        alpha = min(1.0, math.exp(min(logr, 0.0)))
-        if rng.random() < alpha:
-            state.V[:, j] = v_new
+            alpha, ok = 0.0, False
+        if ok:
+            state.V = V_try
             accepted += 1
         else:
-            model.theta[c] = cur
-            model.factors[c] = old_factor
+            _install(model, [c], [cur], [old_factor])
         scales.step(idx, alpha)
+    return accepted
+
+
+def update_theta_block(j, state, data, model, priors, rng, scales=None):
+    """Componentwise Metropolis on outcome j's kernel params, targeting
+    p(y_j | y_{j^c}, theta) p(theta_j).
+
+    Only valid when outcome j is the sole user of its component (the full,
+    unclustered model). Returns the number of accepted component moves and
+    the component's params.
+    """
+    c = int(model.assignments[j])
+    if scales is None:
+        scales = AdaptiveScale(dim=len(free_components(priors)))
+    accepted = _update_theta_componentwise(
+        c, [j], lambda G, V: conditional_loglik(j, V, model),
+        state, model, priors, rng, scales)
     return accepted, model.theta[c]
 
 
@@ -394,15 +388,9 @@ def _pack_log_theta(thetas, names):
 
 
 def _unpack_log_theta(x, thetas, names):
-    out = []
-    i = 0
-    for p in thetas:
-        kw = {nm: getattr(p, nm) for nm in PARAM_NAMES}
-        for nm in names:
-            kw[nm] = math.exp(x[i])
-            i += 1
-        out.append(KernelParams(**kw))
-    return out
+    vals = iter(x)
+    return [replace(p, **{nm: math.exp(next(vals)) for nm in names})
+            for p in thetas]
 
 
 def update_theta_joint(state, data, model, priors, rng, scale=None,
@@ -422,10 +410,9 @@ def update_theta_joint(state, data, model, priors, rng, scale=None,
     x_prop = x + scale.step_vector(rng)
     try:
         prop = _unpack_log_theta(x_prop, cur, names)
+        lp_new = sum(_log_prior_transformed(p, priors) for p in prop)
     except (ValidationError, OverflowError):
-        scale.update(0.0, x)
-        return False, model.theta
-    lp_new = sum(_log_prior_transformed(p, priors) for p in prop)
+        lp_new = -math.inf
     if not np.isfinite(lp_new):
         scale.update(0.0, x)
         return False, model.theta
@@ -439,73 +426,19 @@ def update_theta_joint(state, data, model, priors, rng, scale=None,
         else:
             new_factors = [model._build_factor(p, c)
                            for p, c in zip(prop, comps)]
-        for c, p, f in zip(comps, prop, new_factors):
-            model.theta[c] = p
-            model.factors[c] = f
+        _install(model, comps, prop, new_factors)
         V_new = whiten_columns(G, model)
-        ll_new = loglik(G, model, V_new)
+        alpha = _accept_prob(loglik(G, model, V_new) - ll_old + lp_new - lp_old)
+        ok = rng.random() < alpha
     except NumericalError:
-        for c, p, f in zip(comps, cur, old_factors):
-            model.theta[c] = p
-            model.factors[c] = f
-        scale.update(0.0, x)
-        return False, model.theta
-    logr = ll_new - ll_old + lp_new - lp_old
-    alpha = min(1.0, math.exp(min(logr, 0.0)))
-    if rng.random() < alpha:
+        alpha, ok = 0.0, False
+    if ok:
         state.V = V_new
         scale.update(alpha, x_prop)
-        return True, model.theta
-    for c, p, f in zip(comps, cur, old_factors):
-        model.theta[c] = p
-        model.factors[c] = f
-    scale.update(alpha, x)
-    return False, model.theta
-
-
-def update_theta_cluster(c, state, data, model, priors, rng, scales=None):
-    """Componentwise Metropolis update of the shared kernel params of cluster c,
-    targeting the joint likelihood of all outcomes assigned to it."""
-    names = free_components(priors)
-    if scales is None:
-        scales = AdaptiveScale(dim=len(names))
-    G = state.gp_matrix()
-    members = np.flatnonzero(model.assignments == c)
-    accepted = 0
-    for idx, nm in enumerate(names):
-        cur = model.theta[c]
-        s = scales.scale(idx)
-        prop_val = math.exp(math.log(getattr(cur, nm)) + s * rng.standard_normal())
-        lo, hi = _bounds_for(priors, nm)
-        if prop_val < lo or prop_val > hi:
-            scales.step(idx, 0.0)
-            continue
-        prop = _replace(cur, nm, prop_val)
-        lp_new = _log_prior_transformed(prop, priors)
-        lp_old = _log_prior_transformed(cur, priors)
-        ll_old = loglik(G, model, state.V)
-        old_factor = model.factors[c]
-        try:
-            model.set_theta(c, prop)
-            V_try = state.V.copy()
-            for j in members:
-                V_try[:, j] = model.factors[c].whiten(G[:, j])
-            ll_new = loglik(G, model, V_try)
-        except NumericalError:
-            model.theta[c] = cur
-            model.factors[c] = old_factor
-            scales.step(idx, 0.0)
-            continue
-        logr = ll_new - ll_old + lp_new - lp_old
-        alpha = min(1.0, math.exp(min(logr, 0.0)))
-        if rng.random() < alpha:
-            state.V = V_try
-            accepted += 1
-        else:
-            model.theta[c] = cur
-            model.factors[c] = old_factor
-        scales.step(idx, alpha)
-    return accepted, model.theta[c]
+    else:
+        _install(model, comps, cur, old_factors)
+        scale.update(alpha, x)
+    return ok, model.theta
 
 
 def update_cluster_assignments(state, data, model, priors, rng):
@@ -542,36 +475,23 @@ def update_cluster_assignments(state, data, model, priors, rng):
 
 
 def pcg_solve(matvec, b, diag, tol=1e-8, maxiter=None):
-    """Preconditioned conjugate gradients with a diagonal preconditioner.
+    """Conjugate gradients for A x = b with the Jacobi preconditioner diag(A).
 
-    Stops when ||r|| <= tol * ||b||; raises NumericalError (reporting the
-    residual norm) if maxiter is exhausted.
+    Stops when ||r|| < tol * ||b|| (at most maxiter steps, default 5n);
+    raises NumericalError, reporting the residual norm, if that is not met.
     """
+    # imported on first use: it adds ~3 MB of resident memory to every run
+    import scipy.sparse.linalg as spla
     n = len(b)
-    maxiter = maxiter if maxiter is not None else 5 * n
-    x = np.zeros(n)
-    r = b.copy()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x
-    z = r / diag
-    d = z.copy()
-    rz = float(r @ z)
-    for _ in range(maxiter):
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        Ad = matvec(d)
-        alpha = rz / float(d @ Ad)
-        x += alpha * d
-        r -= alpha * Ad
-        z = r / diag
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    res = float(np.linalg.norm(r))
-    if res <= tol * bnorm:
-        return x
-    raise NumericalError(f"PCG did not converge: residual norm {res:.3e}")
+    A = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    M = spla.LinearOperator((n, n), matvec=lambda r: r / diag, dtype=float)
+    x, info = spla.cg(A, b, rtol=tol, atol=0.0, M=M,
+                      maxiter=5 * n if maxiter is None else maxiter)
+    if info:
+        res = float(np.linalg.norm(b - matvec(x)))
+        raise NumericalError(f"PCG did not converge in {info} iterations: "
+                             f"residual norm {res:.3e}")
+    return x
 
 
 def _factor_col_sq(factor):
@@ -590,10 +510,14 @@ def _factor_col_sq(factor):
 
 
 def _mult_gamma_t(factor, s):
-    """L^{-T} s in original indexing."""
+    """L^{-T} s in original indexing; the transposed sparse factor is cached
+    on the factor object."""
     if factor.is_sparse:
+        gamma_t = getattr(factor, "_gamma_t", None)
+        if gamma_t is None:
+            gamma_t = factor._gamma_t = factor.gamma.T
         out = np.empty_like(s)
-        out[factor.order] = factor.gamma.T @ s[factor.order]
+        out[factor.order] = gamma_t @ s[factor.order]
         return out
     return factor.Linv.T @ s
 
@@ -666,12 +590,6 @@ class SiteSweep:
             M = self.coldata[:, sl]
             self.mmt.append(M @ M.T)
 
-    def support(self, i):
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def col_block(self, i):
-        return self.coldata[:, self.indptr[i]:self.indptr[i + 1]]
-
 
 def update_w_single_site(i, state, data, model, rng, sweep=None, Up=None, E=None):
     """Draw the q-vector w(l_i) (i a DAG position) from its full conditional
@@ -689,8 +607,9 @@ def update_w_single_site(i, state, data, model, rng, sweep=None, Up=None, E=None
         E = (data.Y - data.X @ state.B)[sweep.order]
     Q = model.Q
     q = model.q
-    sup = sweep.support(i)
-    M = sweep.col_block(i)               # (q, k) column values of each factor
+    sl = slice(sweep.indptr[i], sweep.indptr[i + 1])
+    sup = sweep.indices[sl]              # node i and its children
+    M = sweep.coldata[:, sl]             # (q, k) column values of each factor
     P_ii = Q * sweep.mmt[i]
     Tq = M @ Up[sup, :]                  # (q, q): [r, s] = G_r[:,i] . U_s
     pw = (Q * Tq).sum(axis=1)            # row block of P @ w at site i
@@ -698,8 +617,8 @@ def update_w_single_site(i, state, data, model, rng, sweep=None, Up=None, E=None
     G = P_ii + np.diag(1.0 / state.Delta)
     b = -(pw - P_ii @ w_i) + E[i] / state.Delta
     L = np.linalg.cholesky(G)
-    mean = sla.cho_solve((L, True), b)
-    draw = mean + sla.solve_triangular(L.T, rng.standard_normal(q), lower=False)
+    mean = _potrs(L, b, lower=1)[0]
+    draw = mean + _trtrs(L.T, rng.standard_normal(q), lower=0)[0]
     dw = draw - w_i
     state.W[sweep.order[i]] = draw
     Up[sup, :] += (M * dw[:, None]).T
@@ -734,10 +653,6 @@ class Chain:
         self.w_draw_iters = w_draw_iters
         self.zero_corr = zero_corr
         self.zero_corr_iters = zero_corr_iters
-
-    @property
-    def n_draws(self):
-        return self.meta["n_draws"]
 
 
 def _init_theta(priors, free):
@@ -811,212 +726,222 @@ def _init_sigma(resid):
     return np.eye(q)
 
 
-def run_chain(config, data, S):
-    """Run one MCMC chain per the validated RunConfig; deterministic given the
-    seed. Scan order: theta (or cluster assignments), Sigma, beta, then for the
-    latent model the w sweep and Delta."""
-    rng = np.random.default_rng(config.seed)
-    n, q, p = data.n, data.q, data.p
-    priors = config.priors(S, q)
+def _initial_state(config, data, S, priors, free):
+    """Starting model and state: least-squares beta, then kernel params and
+    Sigma from the profile grid search (full mode) or the prior box."""
+    n, q = data.n, data.q
     latent = config.model == "latent"
-    free = free_components(priors)
-
     B0 = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
     resid0 = data.Y - data.X @ B0
-
+    assignments = None
     if config.theta_mode == "full":
-        k = q
         if free and n > 2 * q:
             thetas, Sigma0 = _profile_loglik_init(resid0, S, priors, free,
                                                   order_seed=config.seed)
         else:
-            thetas, Sigma0 = [_init_theta(priors, free)] * k, _init_sigma(resid0)
-        assignments = None
+            thetas, Sigma0 = [_init_theta(priors, free)] * q, _init_sigma(resid0)
     else:
-        k = config.k1
         if config.theta_mode == "grid":
             thetas = config.grid_thetas(priors)
-            k = len(thetas)
         else:
-            thetas = [_init_theta(priors, free)] * k
+            thetas = [_init_theta(priors, free)] * config.k1
         Sigma0 = _init_sigma(resid0)
-        assignments = np.arange(q) % k
-
+        assignments = np.arange(q) % len(thetas)
     model = IoxModel(S, thetas, Sigma0, m=config.vecchia_m,
                      assignments=assignments, order_seed=config.seed,
                      order_scheme=config.order_scheme)
-    state = McmcState(model, data, B0,
-                      Delta=(0.1 * resid0.var(axis=0).clip(1e-6) if latent else None),
-                      W=(resid0.copy() if latent else None))
-
-    theta_update = config.theta_update
-    if theta_update == "auto":
-        theta_update = "joint" if (config.theta_mode == "full" and q <= 4) else "block"
-
-    joint_scale = JointAdaptive(dim=max(1, len(free) * k), target=0.23)
-    block_scales = [AdaptiveScale(dim=len(free), target=0.44) for _ in range(k)]
-    sweep = None
-    if latent and config.w_update == "site":
-        sweep = SiteSweep(model)
-    pool = None
-    if config.threads > 1 and model.is_vecchia:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=config.threads)
-
-    n_stored = max(0, (config.iters - config.burn)) // config.thin
-    draws = {
-        "beta": np.empty((n_stored, p, q)),
-        "sigma": np.empty((n_stored, q, q)),
-        "theta": np.empty((n_stored, q, 3)),
-        "pi": np.empty((n_stored, q), dtype=int),
-        "loglik": np.empty(n_stored),
-    }
-    if latent:
-        draws["delta"] = np.empty((n_stored, q))
-    w_every = None
-    w_draws, w_iters = [], []
-    if latent and config.store_w > 0 and n_stored > 0:
-        w_every = max(1, -(-n_stored // config.store_w))
-    zc_every = None
-    zc_draws, zc_iters = [], []
-    if config.zero_corr_draws > 0 and n_stored > 0:
-        zc_every = max(1, -(-n_stored // config.zero_corr_draws))
-
-    acc = {"theta_proposals": 0, "theta_accepts": 0,
-           "block_proposals": np.zeros(k, dtype=int),
-           "block_accepts": np.zeros(k, dtype=int)}
-    timings = {"theta": 0.0, "sigma": 0.0, "beta": 0.0, "w": 0.0,
-               "delta": 0.0, "pi": 0.0, "store": 0.0}
-    stored = 0
-
-    try:
-        _run_iterations(config, data, model, state, priors, rng, theta_update,
-                        joint_scale, block_scales, sweep, pool, free, k, draws,
-                        w_every, w_draws, w_iters, zc_every, zc_draws, zc_iters,
-                        acc, timings)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    stored = draws["_stored"]
-    del draws["_stored"]
-
-    # scan-invariant sanity: Sigma stayed SPD, Delta positive
-    np.linalg.cholesky(state.Sigma)
-    if latent and np.any(state.Delta <= 0):
-        raise NumericalError("negative noise variance in final state")
-
-    meta = {
-        "n": n, "q": q, "p": p, "iters": config.iters, "burn": config.burn,
-        "thin": config.thin, "seed": config.seed, "model": config.model,
-        "theta_mode": config.theta_mode, "theta_update": theta_update,
-        "vecchia_m": config.vecchia_m, "n_draws": stored,
-        "acceptance_rate": (acc["theta_accepts"] / acc["theta_proposals"]
-                            if acc["theta_proposals"] else float("nan")),
-    }
-    return Chain(draws, acc, timings, meta,
-                 w_draws=(np.array(w_draws) if w_draws else None),
-                 w_draw_iters=(np.array(w_iters, dtype=int) if w_iters else None),
-                 zero_corr=(np.array(zc_draws) if zc_draws else None),
-                 zero_corr_iters=(np.array(zc_iters, dtype=int) if zc_iters else None))
+    return McmcState(model, data, B0,
+                     Delta=(0.1 * resid0.var(axis=0).clip(1e-6) if latent else None),
+                     W=(resid0.copy() if latent else None))
 
 
-def _run_iterations(config, data, model, state, priors, rng, theta_update,
-                    joint_scale, block_scales, sweep, pool, free, k, draws,
-                    w_every, w_draws, w_iters, zc_every, zc_draws, zc_iters,
-                    acc, timings):
-    latent = config.model == "latent"
-    q = data.q
-    stored = 0
+class Sampler:
+    """One MCMC chain: the state, the adaptation scales, the optional thread
+    pool, the draw buffers and the named steps of one scan.
 
-    for it in range(config.iters):
-        component = "theta"
-        try:
-            t0 = time.perf_counter()
-            if config.theta_mode == "full":
-                if theta_update == "joint":
-                    ok, _ = update_theta_joint(state, data, model, priors, rng,
-                                               scale=joint_scale, pool=pool)
-                    acc["theta_proposals"] += 1
-                    acc["theta_accepts"] += int(ok)
-                else:
-                    for j in range(q):
-                        a, _ = update_theta_block(j, state, data, model, priors,
-                                                  rng, scales=block_scales[j])
-                        acc["theta_proposals"] += len(free)
-                        acc["theta_accepts"] += a
-                        acc["block_proposals"][j] += len(free)
-                        acc["block_accepts"][j] += a
-            elif config.theta_mode == "cluster":
-                for c in range(k):
-                    a, _ = update_theta_cluster(c, state, data, model, priors,
-                                                rng, scales=block_scales[c])
-                    acc["theta_proposals"] += len(free)
-                    acc["theta_accepts"] += a
-                    acc["block_proposals"][c] += len(free)
-                    acc["block_accepts"][c] += a
-            timings["theta"] += time.perf_counter() - t0
+    Scan order: theta (not for a fixed grid of kernels), cluster assignments
+    pi (clustered and grid kernels), Sigma, beta, then for the latent model
+    the w sweep and Delta, then the store step. ``run`` times each step under
+    its name in ``timings`` (``init`` is the set-up) and reports a
+    NumericalError with the iteration and step it came from. The steps call the module-level update
+    functions by name at call time, so wrappers bound over them take effect.
+    """
 
-            if config.theta_mode != "full":
-                component = "pi"
-                t0 = time.perf_counter()
-                update_cluster_assignments(state, data, model, priors, rng)
-                timings["pi"] += time.perf_counter() - t0
-            if sweep is not None:
-                sweep.refresh(model)
+    def __init__(self, config, data, S):
+        t0 = time.perf_counter()
+        self.config, self.data = config, data
+        self.rng = np.random.default_rng(config.seed)
+        self.priors = config.priors(S, data.q)
+        self.free = free_components(self.priors)
+        self.latent = config.model == "latent"
+        self.state = _initial_state(config, data, S, self.priors, self.free)
+        self.model = model = self.state.model
+        k, q, p = model.k, data.q, data.p
 
-            component = "sigma"
-            t0 = time.perf_counter()
-            update_sigma(state, state.V, priors, rng)
-            timings["sigma"] += time.perf_counter() - t0
+        self.theta_update = config.theta_update
+        if self.theta_update == "auto":
+            self.theta_update = "joint" if (config.theta_mode == "full" and q <= 4) else "block"
+        self.joint_scale = JointAdaptive(dim=max(1, len(self.free) * k), target=0.23)
+        self.block_scales = [AdaptiveScale(dim=len(self.free), target=0.44)
+                             for _ in range(k)]
+        self.sweep = SiteSweep(model) if self.latent and config.w_update == "site" else None
+        self.pool = None  # a thread pool for factor rebuilds while run() runs
 
-            component = "beta"
-            t0 = time.perf_counter()
-            if latent:
-                update_beta_latent(state, data, priors, rng)
+        # stored iterations are burn, burn + thin, ... below iters
+        n_stored = len(range(config.burn, config.iters, config.thin))
+        shapes = {"beta": (p, q), "sigma": (q, q), "theta": (q, 3), "pi": (q,), "loglik": ()}
+        if self.latent:
+            shapes["delta"] = (q,)
+        self.draws = {nm: np.empty((n_stored,) + sh, dtype=int if nm == "pi" else float)
+                      for nm, sh in shapes.items()}
+        def every(count):  # keep every k-th stored draw, about count in all
+            return max(1, -(-n_stored // count)) if count > 0 and n_stored > 0 else None
+        self.w_every = every(config.store_w) if self.latent else None
+        self.zc_every = every(config.zero_corr_draws)
+        self.w_draws, self.w_iters, self.zc_draws, self.zc_iters = [], [], [], []
+        self.stored = 0
+        self.acc = {"theta_proposals": 0, "theta_accepts": 0,
+                    "block_proposals": np.zeros(k, dtype=int),
+                    "block_accepts": np.zeros(k, dtype=int)}
+
+        self.steps = []
+        if config.theta_mode != "grid":
+            joint = config.theta_mode == "full" and self.theta_update == "joint"
+            self.steps.append(("theta", self.theta_joint if joint else self.theta_components))
+        if config.theta_mode != "full":
+            self.steps.append(("pi", self.pi))
+        self.steps += [("sigma", self.sigma), ("beta", self.beta)]
+        if self.latent:
+            self.steps += [("w", self.w), ("delta", self.delta)]
+        self.steps.append(("store", self.store))
+        self.timings = dict.fromkeys(
+            ("theta", "sigma", "beta", "w", "delta", "pi", "store"), 0.0)
+        self.timings["init"] = time.perf_counter() - t0
+
+    # -- steps ---------------------------------------------------------------
+
+    def theta_joint(self):
+        ok, _ = update_theta_joint(self.state, self.data, self.model, self.priors,
+                                   self.rng, scale=self.joint_scale, pool=self.pool)
+        self.acc["theta_proposals"] += 1
+        self.acc["theta_accepts"] += int(ok)
+
+    def theta_components(self):
+        """Componentwise moves on each component c: against outcome c's
+        conditional density in the full model (where c is outcome c's sole
+        component), against the joint likelihood of c's members otherwise."""
+        model, acc, n_free = self.model, self.acc, len(self.free)
+        for c in range(model.k):
+            if self.config.theta_mode == "full":
+                a, _ = update_theta_block(c, self.state, self.data, model, self.priors,
+                                          self.rng, scales=self.block_scales[c])
             else:
-                update_beta_response(state, data, model, priors, rng)
-            timings["beta"] += time.perf_counter() - t0
+                a = _update_theta_componentwise(
+                    c, np.flatnonzero(model.assignments == c),
+                    lambda G, V: loglik(G, model, V),
+                    self.state, model, self.priors, self.rng, self.block_scales[c])
+            acc["theta_proposals"] += n_free
+            acc["theta_accepts"] += a
+            acc["block_proposals"][c] += n_free
+            acc["block_accepts"][c] += a
 
-            if latent:
-                component = "w"
-                t0 = time.perf_counter()
-                if config.w_update == "site":
-                    sweep_w_sites(state, data, model, rng, sweep)
-                else:
-                    for j in range(q):
-                        update_w_single_outcome(j, state, data, model, rng,
-                                                tol=config.pcg_tol)
-                timings["w"] += time.perf_counter() - t0
-                component = "delta"
-                t0 = time.perf_counter()
-                update_delta(state, data, priors, rng)
-                timings["delta"] += time.perf_counter() - t0
-        except NumericalError as e:
-            raise NumericalError(
-                f"iteration {it}, component {component}: {e}") from e
+    def pi(self):
+        update_cluster_assignments(self.state, self.data, self.model, self.priors,
+                                   self.rng)
 
-        if it == config.burn - 1:
-            joint_scale.frozen = True
-            for sc in block_scales:
-                sc.frozen = True
-        if it >= config.burn and (it - config.burn) % config.thin == 0:
-            t0 = time.perf_counter()
-            draws["beta"][stored] = state.B
-            draws["sigma"][stored] = state.Sigma
-            draws["theta"][stored] = np.array(
-                [[model.params_for(j).phi, model.params_for(j).nu,
-                  model.params_for(j).tau2] for j in range(q)])
-            draws["pi"][stored] = model.assignments
-            draws["loglik"][stored] = loglik(state.gp_matrix(), model, state.V)
-            if latent:
-                draws["delta"][stored] = state.Delta
-            if w_every is not None and stored % w_every == 0:
-                w_draws.append(state.W.copy())
-                w_iters.append(stored)
-            if zc_every is not None and stored % zc_every == 0:
-                zc_draws.append(zero_distance_cross_corr(model))
-                zc_iters.append(stored)
-            stored += 1
-            timings["store"] += time.perf_counter() - t0
+    def sigma(self):
+        update_sigma(self.state, self.state.V, self.priors, self.rng)
 
-    draws["_stored"] = stored
+    def beta(self):
+        if self.latent:
+            update_beta_latent(self.state, self.data, self.priors, self.rng)
+        else:
+            update_beta_response(self.state, self.data, self.model, self.priors,
+                                 self.rng)
+
+    def w(self):
+        if self.sweep is not None:
+            self.sweep.refresh(self.model)
+            sweep_w_sites(self.state, self.data, self.model, self.rng, self.sweep)
+            return
+        for j in range(self.data.q):
+            update_w_single_outcome(j, self.state, self.data, self.model, self.rng,
+                                    tol=self.config.pcg_tol)
+
+    def delta(self):
+        update_delta(self.state, self.data, self.priors, self.rng)
+
+    def store(self):
+        burn, it = self.config.burn, self.it
+        if it < burn or (it - burn) % self.config.thin:
+            return
+        state, model, d, s = self.state, self.model, self.draws, self.stored
+        d["beta"][s] = state.B
+        d["sigma"][s] = model.Sigma
+        d["theta"][s] = [[getattr(model.params_for(j), nm) for nm in PARAM_NAMES]
+                         for j in range(model.q)]
+        d["pi"][s] = model.assignments
+        d["loglik"][s] = loglik(state.gp_matrix(), model, state.V)
+        if self.latent:
+            d["delta"][s] = state.Delta
+        if self.w_every is not None and s % self.w_every == 0:
+            self.w_draws.append(state.W.copy())
+            self.w_iters.append(s)
+        if self.zc_every is not None and s % self.zc_every == 0:
+            self.zc_draws.append(zero_distance_cross_corr(model))
+            self.zc_iters.append(s)
+        self.stored += 1
+
+    # -- driver --------------------------------------------------------------
+
+    def run(self):
+        """Run every iteration and return the Chain."""
+        if self.config.threads > 1 and self.model.is_vecchia:
+            self.pool = ThreadPoolExecutor(max_workers=self.config.threads)
+        try:
+            for it in range(self.config.iters):
+                self.it = it
+                for name, step in self.steps:
+                    t0 = time.perf_counter()
+                    try:
+                        step()
+                    except NumericalError as e:
+                        raise NumericalError(
+                            f"iteration {it}, component {name}: {e}") from e
+                    self.timings[name] += time.perf_counter() - t0
+                if it == self.config.burn - 1:  # adaptation ends with burn-in
+                    self.joint_scale.frozen = True
+                    for sc in self.block_scales:
+                        sc.frozen = True
+        finally:
+            if self.pool is not None:
+                self.pool.shutdown(wait=False)
+
+        # scan-invariant sanity: Sigma stayed SPD, Delta positive
+        np.linalg.cholesky(self.model.Sigma)
+        if self.latent and np.any(self.state.Delta <= 0):
+            raise NumericalError("negative noise variance in final state")
+
+        config, data, acc = self.config, self.data, self.acc
+        meta = {
+            "n": data.n, "q": data.q, "p": data.p, "iters": config.iters,
+            "burn": config.burn, "thin": config.thin, "seed": config.seed,
+            "model": config.model, "theta_mode": config.theta_mode,
+            "theta_update": self.theta_update, "vecchia_m": config.vecchia_m,
+            "n_draws": self.stored,
+            "acceptance_rate": (acc["theta_accepts"] / acc["theta_proposals"]
+                                if acc["theta_proposals"] else float("nan")),
+        }
+
+        def stack(xs, dtype=None):
+            return np.array(xs, dtype=dtype) if xs else None
+        return Chain(self.draws, acc, self.timings, meta,
+                     w_draws=stack(self.w_draws), w_draw_iters=stack(self.w_iters, int),
+                     zero_corr=stack(self.zc_draws),
+                     zero_corr_iters=stack(self.zc_iters, int))
+
+
+def run_chain(config, data, S):
+    """Run one MCMC chain per the validated RunConfig; deterministic given the
+    seed. See :class:`Sampler` for the scan."""
+    return Sampler(config, data, S).run()

@@ -29,6 +29,8 @@ from .geom import LocationSet, build_nn_dag, prediction_parents
 from .kernels import matern
 from .vecchia import VecchiaWorkspace, dense_chol_factor
 
+_potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), dtype=float)
+
 SET_GUARD = 5000  # largest N*q for dense cross-covariance materialization
 
 
@@ -138,26 +140,23 @@ class IoxModel:
 
     # -- parameter updates -------------------------------------------------
 
-    @property
-    def workspace(self):
-        return self.workspaces[0] if self.workspaces is not None else None
-
     def _build_factor(self, p, c=0):
         if self.workspaces is not None:
             return self.workspaces[c].build(p)
         return dense_chol_factor(self.S, p, cap=self.dense_cap)
 
     def _set_sigma(self, Sigma):
-        if not np.allclose(Sigma, Sigma.T, atol=1e-10):
+        # np.allclose(Sigma, Sigma.T, atol=1e-10) for finite entries, cheaper
+        if not np.all(np.abs(Sigma - Sigma.T) <= 1e-10 + 1e-5 * np.abs(Sigma.T)):
             raise ValidationError("Sigma must be symmetric")
-        try:
-            cf = sla.cho_factor(np.asarray(Sigma, dtype=float), lower=True)
-        except np.linalg.LinAlgError as e:
-            raise ValidationError("Sigma must be positive definite") from e
+        # LAPACK called directly, as sla.cho_factor / sla.cho_solve would
+        c, info = _potrf(np.asarray_chkfinite(Sigma), lower=1, clean=0)
+        if info > 0:
+            raise ValidationError("Sigma must be positive definite")
         self.Sigma = 0.5 * (Sigma + Sigma.T)
-        Q = sla.cho_solve(cf, np.eye(Sigma.shape[0]))
+        Q = _potrs(c, np.eye(Sigma.shape[0]), lower=1)[0]
         self.Q = 0.5 * (Q + Q.T)
-        self.chol_sigma = np.tril(cf[0])
+        self.chol_sigma = np.tril(c)
 
     def set_sigma(self, Sigma):
         self._set_sigma(np.asarray(Sigma, dtype=float))
@@ -166,12 +165,6 @@ class IoxModel:
         """Replace component c's kernel params and rebuild its factor."""
         self.theta[c] = p
         self.factors[c] = self._build_factor(p, c)
-
-    def set_assignments(self, pi):
-        pi = np.asarray(pi, dtype=int)
-        if pi.shape != (self.q,) or pi.min() < 0 or pi.max() >= len(self.theta):
-            raise ValidationError("bad assignment vector")
-        self.assignments = pi
 
     # -- accessors ----------------------------------------------------------
 
@@ -196,9 +189,6 @@ class IoxModel:
 
     def params_for(self, j):
         return self.theta[self.assignments[j]]
-
-    def pi_counts(self):
-        return np.bincount(self.assignments, minlength=self.k)
 
     # -- h and r ------------------------------------------------------------
 

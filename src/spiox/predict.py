@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ValidationError
-
-R_DEGENERATE = 1e-12  # below this, an observed outcome pins the site to S
+from .errors import NumericalError, ValidationError
 
 
 @dataclass
@@ -131,7 +129,9 @@ def predict_partial(t, y_obs, draw, data, model, rng, X_t=None,
     When t coincides with a reference site every r_j(t) is zero and the
     observed-side scaling is degenerate; the site is then pinned to the
     reference-set values (exact conditioning), with measurement noise still
-    added for the latent model.
+    added for the latent model. Any other site, however close to S, takes the
+    general formula; an exactly zero observed-side r_j(t) there is a
+    NumericalError.
     """
     t = np.asarray(t, dtype=float).ravel()
     y_obs = np.asarray(y_obs, dtype=float).ravel()
@@ -148,10 +148,9 @@ def predict_partial(t, y_obs, draw, data, model, rng, X_t=None,
     Q = np.linalg.inv(draw.Sigma)
     latent = draw.W is not None
 
-    if np.any(dvec[o_idx] ** 2 <= R_DEGENERATE):
+    k = int(model._pred_geometry(t[None, :])["coin"][0])  # cached by _site_moments
+    if k >= 0:
         # t sits on the reference set: the GP part is the stored value there
-        hit = np.flatnonzero((model.S.coords == t).all(axis=1))
-        k = int(hit[0])
         if latent:
             base = X_t[0] @ draw.B + draw.W[k]
             out = base[m_idx]
@@ -159,6 +158,10 @@ def predict_partial(t, y_obs, draw, data, model, rng, X_t=None,
                 out = out + np.sqrt(draw.Delta[m_idx]) * rng.standard_normal(len(m_idx))
             return out
         return data.Y[k, m_idx]
+    if np.any(dvec[o_idx] == 0.0):
+        raise NumericalError(
+            f"co-kriging at site {t.tolist()}: zero residual variance for an "
+            "observed outcome at a site that is not a reference location")
 
     Qm = Q[np.ix_(m_idx, m_idx)]
     Qmo = Q[np.ix_(m_idx, o_idx)]

@@ -132,16 +132,6 @@ class DenseChol:
         return float(np.log(np.diag(self.Linv)).sum())
 
 
-def whiten(G, y):
-    """v = L^{-1} y for a built factor (sparse or dense)."""
-    return G.whiten(y)
-
-
-def unwhiten(G, v):
-    """y with L^{-1} y = v; inverse of :func:`whiten`."""
-    return G.unwhiten(v)
-
-
 def dense_chol_factor(S, p, cap=4000):
     """Dense lower Cholesky factor of rho(S) under ``p`` plus its inverse.
 

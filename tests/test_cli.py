@@ -109,6 +109,19 @@ class TestFit:
                    "--out", str(tmp_path / "c")])
         assert rc == 2
 
+    def test_thin_not_dividing_stored_span(self, sim_file, tmp_path):
+        # iterations 0, 3, 6 and 9 are stored: the ceiling of 10 / 3
+        cfg = tmp_path / "fit.cfg"
+        write(cfg, FIT_CFG.replace("burn = 5", "burn = 0").replace("thin = 1", "thin = 3"))
+        out = tmp_path / "chain"
+        assert main(["fit", "--config", str(cfg), "--data", str(sim_file),
+                     "--out", str(out)]) == 0
+        _, TH = read_table(out / "theta.csv")
+        assert TH.shape[0] == 4
+        meta = json.load(open(out / "meta.json"))
+        assert meta["n_draws"] == 4
+        assert meta["timings_sec"]["init"] > 0.0
+
     def test_deterministic_chain_files(self, sim_file, tmp_path):
         cfg = tmp_path / "fit.cfg"
         write(cfg, FIT_CFG)
@@ -187,6 +200,38 @@ class TestPredict:
         rc = main(["predict", "--chain", str(fitted), "--data", str(other),
                    "--test", str(test), "--out", str(tmp_path / "p.csv")])
         assert rc == 2
+
+
+    def test_cokriging_next_to_reference_site(self, sim_file, tmp_path):
+        # nugget-free, nu = 2.5 kernels make r_j(t) underflow 1e-12 at 1e-7
+        # from a reference site; the site is not on S, so it is co-kriged
+        from spiox.config import RunConfig
+        from spiox.dataio import dataset_hash, write_chain
+        from spiox.inference import Chain
+        S, Y, _, names = read_dataset(sim_file)
+        nd, q = 3, 3
+        theta = np.empty((nd, q, 3))
+        theta[:, :, 0], theta[:, :, 1], theta[:, :, 2] = 5.0, 2.5, 0.0
+        draws = {"beta": np.zeros((nd, 1, q)), "sigma": np.tile(np.eye(q), (nd, 1, 1)),
+                 "theta": theta, "pi": np.tile(np.arange(q), (nd, 1)),
+                 "loglik": np.zeros(nd)}
+        meta = {"n": S.n, "q": q, "p": 1, "iters": nd, "burn": 0, "thin": 1,
+                "seed": 5, "model": "response", "theta_mode": "full",
+                "theta_update": "joint", "vecchia_m": 8, "n_draws": nd,
+                "acceptance_rate": 0.5}
+        chain = tmp_path / "chain"
+        write_chain(chain, Chain(draws, {}, {}, meta),
+                    RunConfig(vecchia_m=8, seed=5).validate(), dataset_hash(S.coords), names)
+        t = S.coords[7] + 1e-7
+        test = tmp_path / "near.csv"
+        write(test, "coord_1,coord_2,y_1,y_2,y_3\n"
+                    f"{t[0]:.17g},{t[1]:.17g},{Y[7, 0]:.17g},,\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--chain", str(chain), "--data", str(sim_file),
+                     "--test", str(test), "--out", str(out)]) == 0
+        header, rows = read_mixed(out)
+        assert len(rows) == 2
+        assert all(np.isfinite(r[header.index("mean")]) for r in rows)
 
 
 class TestLatentCli:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spiox.errors import ValidationError
+from spiox.errors import NumericalError, ValidationError
 from spiox.geom import LocationSet
 from spiox.ioxcore import IoxModel, OutcomeMatrix, cross_cov_set
 from spiox.kernels import KernelParams, corr_matrix
@@ -181,6 +181,37 @@ class TestPredictPartial:
         y_obs = np.array([data.Y[k, 0], np.nan, np.nan])
         got = predict_partial(S.coords[k], y_obs, draw, data, model, ZeroRng())
         assert np.abs(got - data.Y[k, 1:]).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_near_reference_site_general_formula(self, m):
+        # nu = 2.5 and no nugget: r_j(t) is below 1e-12 at 1e-7 from S
+        n, q = 20, 2
+        S = rand_locations(n, seed=30)
+        thetas = [KernelParams(5.0, 2.5, 0.0)] * q
+        Sigma = np.array([[1.0, 0.7], [0.7, 1.0]])
+        model = IoxModel(S, thetas, Sigma, m=m)
+        data = OutcomeMatrix(np.random.default_rng(31).standard_normal((n, q)))
+        draw = PosteriorDraw(B=np.zeros((1, q)), Sigma=Sigma, theta=thetas)
+        k = 4
+        y_obs = np.array([data.Y[k, 0] + 0.1, np.nan])
+        got = [predict_partial(S.coords[k] + off, y_obs, draw, data, model, ZeroRng())[0]
+               for off in (1e-5, 1e-6, 1e-7)]
+        _, dvec = _site_moments((S.coords[k] + 1e-7)[None], np.ones((1, 1)), draw, data, model)
+        assert 0.0 < dvec[0, 0] ** 2 <= 1e-12
+        assert np.all(np.isfinite(got))
+        assert abs(got[2] - got[1]) <= abs(got[1] - got[0])
+
+    def test_zero_residual_variance_off_reference_raises(self, monkeypatch):
+        model, data, draw, S, _, _ = setup(n=9, q=2, seed=14)
+        h_r = model.h_r_compact
+
+        def zero_r(T, j):
+            idx, vals, r = h_r(T, j)
+            return idx, vals, np.zeros_like(r)
+        monkeypatch.setattr(model, "h_r_compact", zero_r)
+        t = S.coords[2] + 1e-3
+        with pytest.raises(NumericalError, match="site"):
+            predict_partial(t, np.array([0.1, np.nan]), draw, data, model, ZeroRng())
 
     def test_requires_missing_and_observed(self):
         model, data, draw, S, _, _ = setup(n=8, q=2, seed=13)

@@ -6,8 +6,7 @@ import pytest
 from spiox.errors import NumericalError, ValidationError
 from spiox.geom import LocationSet, build_nn_dag
 from spiox.kernels import KernelParams, corr_matrix, matern
-from spiox.vecchia import (VecchiaWorkspace, build_sparse_inv_chol,
-                           dense_chol_factor, unwhiten, whiten)
+from spiox.vecchia import VecchiaWorkspace, build_sparse_inv_chol, dense_chol_factor
 
 from conftest import rand_locations
 
@@ -84,11 +83,11 @@ class TestSolves:
     def test_whiten_zero_and_identity(self):
         S = rand_locations(12, seed=8)
         G = build_sparse_inv_chol(identity_dag(S, 4), S, KernelParams(9.0, 1.0))
-        assert np.all(whiten(G, np.zeros(12)) == 0)
+        assert np.all(G.whiten(np.zeros(12)) == 0)
         far = LocationSet(1e5 * np.arange(1, 13, dtype=float)[:, None])
         Gf = build_sparse_inv_chol(identity_dag(far, 2), far, KernelParams(1.0, 0.5))
         y = np.random.default_rng(0).standard_normal(12)
-        assert np.abs(whiten(Gf, y) - y).max() < 1e-10
+        assert np.abs(Gf.whiten(y) - y).max() < 1e-10
 
     def test_whiten_matches_dense(self):
         S = rand_locations(15, seed=9)
@@ -96,25 +95,25 @@ class TestSolves:
         G = build_sparse_inv_chol(identity_dag(S, 14), S, p)
         y = np.random.default_rng(1).standard_normal(15)
         Li = np.linalg.inv(np.linalg.cholesky(corr_matrix(S, S, p)))
-        assert np.abs(whiten(G, y) - Li @ y).max() <= 1e-8
+        assert np.abs(G.whiten(y) - Li @ y).max() <= 1e-8
 
     def test_roundtrip(self):
         S = rand_locations(30, seed=10)
         G = build_sparse_inv_chol(build_nn_dag(S, 6, "random", seed=2), S,
                                   KernelParams(14.0, 0.9, 1e-2))
         y = np.random.default_rng(2).standard_normal(30)
-        assert np.abs(unwhiten(G, whiten(G, y)) - y).max() <= 1e-10
-        assert np.all(unwhiten(G, np.zeros(30)) == 0)
+        assert np.abs(G.unwhiten(G.whiten(y)) - y).max() <= 1e-10
+        assert np.all(G.unwhiten(np.zeros(30)) == 0)
 
     def test_matrix_rhs(self):
         S = rand_locations(20, seed=12)
         G = build_sparse_inv_chol(build_nn_dag(S, 5, "random", seed=4), S,
                                   KernelParams(8.0, 1.1, 0.0))
         Y = np.random.default_rng(3).standard_normal((20, 4))
-        V = whiten(G, Y)
-        cols = np.column_stack([whiten(G, Y[:, k]) for k in range(4)])
+        V = G.whiten(Y)
+        cols = np.column_stack([G.whiten(Y[:, k]) for k in range(4)])
         assert np.abs(V - cols).max() == 0.0
-        assert np.abs(unwhiten(G, V) - Y).max() <= 1e-10
+        assert np.abs(G.unwhiten(V) - Y).max() <= 1e-10
 
     def test_unwhiten_diagonal_factor(self):
         # a purely diagonal factor with entries 2 halves the input
@@ -125,7 +124,7 @@ class TestSolves:
         G = SparseInvChol(dag, sp.identity(6, format="csr") * 2.0,
                           np.full(6, 2.0), KernelParams(1.0, 1.0))
         v = np.arange(6, dtype=float)
-        assert np.array_equal(unwhiten(G, v), v / 2.0)
+        assert np.array_equal(G.unwhiten(v), v / 2.0)
 
     def test_rows_independent_of_build_path(self):
         # each row depends only on its own parent block: recomputing any row
