@@ -87,6 +87,9 @@ class RunConfig:
             raise ValidationError(f"bad theta_mode {self.theta_mode}")
         if self.theta_update not in ("auto", "block", "joint"):
             raise ValidationError(f"bad theta_update {self.theta_update}")
+        if self.theta_update == "joint" and self.theta_mode != "full":
+            raise ValidationError(
+                f"theta_update = joint needs theta_mode = full, got {self.theta_mode}")
         if self.w_update not in ("outcome", "site"):
             raise ValidationError(f"bad w_update {self.w_update}")
         if self.order_scheme not in ("random", "coordinate-sum"):

@@ -510,14 +510,10 @@ def _factor_col_sq(factor):
 
 
 def _mult_gamma_t(factor, s):
-    """L^{-T} s in original indexing; the transposed sparse factor is cached
-    on the factor object."""
+    """L^{-T} s in original indexing."""
     if factor.is_sparse:
-        gamma_t = getattr(factor, "_gamma_t", None)
-        if gamma_t is None:
-            gamma_t = factor._gamma_t = factor.gamma.T
         out = np.empty_like(s)
-        out[factor.order] = gamma_t @ s[factor.order]
+        out[factor.order] = factor.gamma_t @ s[factor.order]
         return out
     return factor.Linv.T @ s
 
@@ -806,8 +802,8 @@ class Sampler:
 
         self.steps = []
         if config.theta_mode != "grid":
-            joint = config.theta_mode == "full" and self.theta_update == "joint"
-            self.steps.append(("theta", self.theta_joint if joint else self.theta_components))
+            self.steps.append(("theta", self.theta_joint if self.theta_update == "joint"
+                               else self.theta_components))
         if config.theta_mode != "full":
             self.steps.append(("pi", self.pi))
         self.steps += [("sigma", self.sigma), ("beta", self.beta)]

@@ -274,12 +274,9 @@ class IoxModel:
                 r[hit] = 0.0
             return A, np.maximum(r, 0.0)
         idx, vals, r = self.h_r_compact(T, j)
-        A = np.zeros((T.shape[0], self.n))
-        for t in range(T.shape[0]):
-            h_dag = np.zeros(self.n)
-            h_dag[f.inv_order[idx[t]]] = vals[t]
-            A[t] = f.solve_gamma_t(h_dag)
-        return A, r
+        H = np.zeros((self.n, T.shape[0]))  # column t: h_j(t) in DAG order
+        H[f.inv_order[idx], np.arange(T.shape[0])[:, None]] = vals
+        return f.solve_gamma_t(H).T, r
 
 
 # -- spec-level operations ---------------------------------------------------
@@ -426,8 +423,7 @@ def _pair_trace(model, probes=0, rng=None):
         return G
     rng = rng if rng is not None else np.random.default_rng(0)
     Z = rng.standard_normal((n, probes))
-    U = [np.column_stack([model.factors[c].unwhiten(Z[:, s]) for s in range(probes)])
-         for c in range(k)]
+    U = [model.factors[c].unwhiten(Z) for c in range(k)]
     for a in range(k):
         for b in range(a, k):
             G[a, b] = G[b, a] = float(np.sum(U[a] * U[b])) / (probes * n)

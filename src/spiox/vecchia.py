@@ -12,6 +12,8 @@ the original location indexing so that per-outcome factors built over the
 same set always align row-wise.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -21,33 +23,6 @@ from .kernels import corr_matrix, matern
 
 JITTER0 = 1e-10
 JITTER_TRIES = 3
-
-
-def _forward_solve(indptr, indices, data, b):
-    """Solve G z = b for lower-triangular csr arrays, b of shape (n,) or (n, r)."""
-    z = np.empty_like(b, dtype=float)
-    for i in range(len(indptr) - 1):
-        s, e = indptr[i], indptr[i + 1]
-        if e - s == 1:
-            z[i] = b[i] / data[e - 1]
-        else:
-            z[i] = (b[i] - data[s:e - 1] @ z[indices[s:e - 1]]) / data[e - 1]
-    return z
-
-
-def _backward_solve_t(indptr_c, indices_c, data_c, diag, b):
-    """Solve G^T x = b using csc arrays of G (columns scanned bottom-up)."""
-    n = len(diag)
-    x = np.array(b, dtype=float)
-    for i in range(n - 1, -1, -1):
-        s, e = indptr_c[i], indptr_c[i + 1]
-        rows = indices_c[s:e]
-        vals = data_c[s:e]
-        above = rows > i
-        if above.any():
-            x[i] = x[i] - vals[above] @ x[rows[above]]
-        x[i] = x[i] / diag[i]
-    return x
 
 
 class SparseInvChol:
@@ -62,7 +37,6 @@ class SparseInvChol:
         self.gamma = gamma      # csr, DAG-order space
         self.diag = diag        # 1/sqrt(r) per position
         self.params = params
-        self._csc = None
 
     @property
     def n(self):
@@ -72,11 +46,14 @@ class SparseInvChol:
     def nnz(self):
         return self.gamma.nnz
 
-    @property
+    @cached_property
     def csc(self):
-        if self._csc is None:
-            self._csc = self.gamma.tocsc()
-        return self._csc
+        return self.gamma.tocsc()
+
+    @cached_property
+    def gamma_t(self):
+        """G^T, a csc view of the csr factor."""
+        return self.gamma.T
 
     def whiten(self, y):
         y = np.asarray(y, dtype=float)
@@ -85,17 +62,18 @@ class SparseInvChol:
         return out
 
     def unwhiten(self, v):
+        """G^{-1} v for v of shape (n,) or (n, r), in original indexing."""
+        # imported on first use: it adds ~3 MB of resident memory to every run
+        from scipy.sparse.linalg import spsolve_triangular
         v = np.asarray(v, dtype=float)
         out = np.empty_like(v)
-        out[self.order] = _forward_solve(
-            self.gamma.indptr, self.gamma.indices, self.gamma.data, v[self.order]
-        )
+        out[self.order] = spsolve_triangular(self.gamma, v[self.order], lower=True)
         return out
 
     def solve_gamma_t(self, b):
-        """x with G^T x = b, both in DAG-order space."""
-        c = self.csc
-        return _backward_solve_t(c.indptr, c.indices, c.data, self.diag, b)
+        """x with G^T x = b, both in DAG-order space, b of shape (n,) or (n, r)."""
+        from scipy.sparse.linalg import spsolve_triangular
+        return spsolve_triangular(self.gamma_t, b, lower=False)
 
     def sum_log_diag(self):
         return float(np.log(self.diag).sum())
@@ -183,10 +161,6 @@ class VecchiaWorkspace:
         self.indptr = indptr
         self.indices = indices
 
-        if kmax == 0:
-            self.d_unique = np.empty(0)
-            return
-
         # padded parent array; pad slots point at the node itself (distance 0
         # never queried: their gather entries route to the appended zero)
         par = np.full((n, kmax), -1, dtype=np.int64)
@@ -228,12 +202,6 @@ class VecchiaWorkspace:
         one = 1.0 + p.tau2
         nnz = int(self.indptr[-1])
         data = np.empty(nnz + 1)
-        if self.kmax == 0:
-            r_all = np.full(n, one)
-            data[:nnz] = 1.0 / np.sqrt(r_all)
-            gamma = sp.csr_matrix((data[:nnz], self.indices, self.indptr),
-                                  shape=(n, n), copy=False)
-            return SparseInvChol(dag, gamma, 1.0 / np.sqrt(r_all), p)
         rho = np.concatenate([matern(self.d_unique, p), [0.0]])
         Rpp = rho[self.pp_idx]
         k = self.kmax
@@ -243,7 +211,14 @@ class VecchiaWorkspace:
             try:
                 h = np.linalg.solve(Rpp, rps[..., None])[..., 0]
             except np.linalg.LinAlgError:
+                # some block is exactly singular: solve each row alone, so
+                # only the rows that fail again go on to the jitter retries
                 h = np.full((n, k), np.nan)
+                for b in range(n):
+                    try:
+                        h[b] = np.linalg.solve(Rpp[b], rps[b])
+                    except np.linalg.LinAlgError:
+                        pass
         r = one - np.einsum("nk,nk->n", h, rps)
         bad = ~np.isfinite(r) | (r <= 0) | ~np.isfinite(h).all(axis=1)
         if bad.any():

@@ -109,6 +109,18 @@ class TestFit:
                    "--out", str(tmp_path / "c")])
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["theta_mode = cluster\ncluster.k1 = 2",
+                                      "theta_mode = grid\ngrid.nu_values = 0.5, 1.5"],
+                             ids=["cluster", "grid"])
+    def test_joint_update_needs_full_mode(self, sim_file, tmp_path, capsys, mode):
+        cfg = tmp_path / "fit.cfg"
+        write(cfg, FIT_CFG.replace("theta_mode = full", mode))
+        rc = main(["fit", "--config", str(cfg), "--data", str(sim_file),
+                   "--out", str(tmp_path / "chain")])
+        assert rc == 2
+        assert "theta_update = joint needs theta_mode = full" in capsys.readouterr().err
+        assert not (tmp_path / "chain").exists()
+
     def test_thin_not_dividing_stored_span(self, sim_file, tmp_path):
         # iterations 0, 3, 6 and 9 are stored: the ceiling of 10 / 3
         cfg = tmp_path / "fit.cfg"
@@ -309,6 +321,16 @@ class TestHelpers:
         write_dataset(p, np.arange(50, dtype=float)[:, None] / 7.0, vals[:, None])
         _, Y, _, _ = read_dataset(p)
         assert np.array_equal(Y[:, 0], vals)
+
+    def test_theta_update_mode_combinations(self):
+        for mode in ("cluster", "grid"):
+            with pytest.raises(ValidationError, match="needs theta_mode = full"):
+                parse_config(f"theta_mode = {mode}\ntheta_update = joint\n"
+                             "grid.nu_values = 0.5\n")
+            for update in ("auto", "block"):
+                parse_config(f"theta_mode = {mode}\ntheta_update = {update}\n"
+                             "grid.nu_values = 0.5\n")
+        parse_config("theta_mode = full\ntheta_update = joint\n")
 
     def test_unknown_config_key(self):
         with pytest.raises(ValidationError, match="unknown key"):

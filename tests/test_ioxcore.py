@@ -8,7 +8,7 @@ import pytest
 
 from spiox.errors import ValidationError
 from spiox.geom import LocationSet
-from spiox.ioxcore import (IoxModel, OutcomeMatrix, avg_cross_corr,
+from spiox.ioxcore import (IoxModel, OutcomeMatrix, _pair_trace, avg_cross_corr,
                            conditional_loglik, cross_cov_point, cross_cov_set,
                            h_and_r, loglik, matern_zero_cross_corr,
                            whiten_columns, zero_distance_cross_corr)
@@ -302,6 +302,18 @@ class TestAvgCrossCorr:
         assert np.abs(a - b).max() <= 1e-8
         c = zero_distance_cross_corr(vec, probes=4000, rng=np.random.default_rng(0))
         assert np.abs(c - a).max() <= 0.05
+
+    def test_probed_trace_matches_dense_inverse(self):
+        # the probes pushed through inv(G) of each component, built densely
+        S = rand_locations(40, seed=35)
+        thetas = [KernelParams(9.0, 0.6, 0.0), KernelParams(14.0, 1.6, 1e-3),
+                  KernelParams(20.0, 1.1, 0.0)]
+        model = IoxModel(S, thetas, rand_corr(3, seed=36), m=6)
+        got = _pair_trace(model, probes=8, rng=np.random.default_rng(7))
+        Z = np.random.default_rng(7).standard_normal((40, 8))
+        U = [np.linalg.inv(f.dense_gamma_original()) @ Z for f in model.factors]
+        want = np.array([[np.sum(a * b) / (8 * 40) for b in U] for a in U])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_matches_brute_average(self):
         model, S, thetas, Sigma = make_model(8, 2, seed=34)

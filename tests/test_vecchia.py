@@ -1,5 +1,9 @@
 """Tests for sparse inverse-Cholesky factors and the dense exact path."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,12 +19,32 @@ def identity_dag(S, m):
     return build_nn_dag(S, m, np.arange(S.n))
 
 
+def standalone_row(dag, p, pos):
+    """Row ``pos`` of the factor, computed from its own parent block alone."""
+    coords = dag.S.coords[dag.order]
+    par = dag.parents[pos]
+    block = corr_matrix(LocationSet(coords[par]), LocationSet(coords[par]), p)
+    rho_ps = matern(np.linalg.norm(coords[par] - coords[pos], axis=1), p)
+    h = np.linalg.solve(block, rho_ps)
+    r = (1.0 + p.tau2) - h @ rho_ps
+    row = np.zeros(dag.n)
+    row[par] = -h / np.sqrt(r)
+    row[pos] = 1.0 / np.sqrt(r)
+    return row
+
+
 class TestBuild:
     def test_n1(self):
         S = LocationSet([[0.0, 0.0]])
         p = KernelParams(phi=1.0, nu=1.0, tau2=0.21)
         G = build_sparse_inv_chol(identity_dag(S, 0), S, p)
         assert G.gamma.toarray()[0, 0] == pytest.approx(1 / np.sqrt(1.21), rel=1e-14)
+
+    def test_no_parents_exact_diagonal(self):
+        # the batched build handles empty parent sets: r = 1 + tau2 exactly
+        S = rand_locations(10, seed=22)
+        G = build_sparse_inv_chol(identity_dag(S, 0), S, KernelParams(3.0, 1.0, 0.3))
+        assert np.all(G.gamma.toarray() == np.diag(np.full(10, 1.0 / np.sqrt(1.3))))
 
     def test_saturated_matches_dense_inverse_cholesky(self):
         S = rand_locations(20, seed=3)
@@ -133,28 +157,51 @@ class TestSolves:
         p = KernelParams(12.0, 0.8, 1e-3)
         dag = build_nn_dag(S, 5, "random", seed=7)
         G = build_sparse_inv_chol(dag, S, p)
-        coords = S.coords[dag.order]
         A = G.gamma.toarray()
         for pos in (3, 11, 29):
-            par = dag.parents[pos]
-            block = corr_matrix(LocationSet(coords[par]),
-                                LocationSet(coords[par]), p)
-            rho_ps = np.array([matern(np.linalg.norm(coords[a] - coords[pos]), p)
-                               for a in par])
-            h = np.linalg.solve(block, rho_ps)
-            r = (1.0 + p.tau2) - h @ rho_ps
-            row = np.zeros(30)
-            row[par] = -h / np.sqrt(r)
-            row[pos] = 1.0 / np.sqrt(r)
-            assert np.abs(A[pos] - row).max() <= 1e-10
+            assert np.abs(A[pos] - standalone_row(dag, p, pos)).max() <= 1e-10
 
     def test_transpose_solve(self):
         S = rand_locations(18, seed=13)
         G = build_sparse_inv_chol(build_nn_dag(S, 4, "random", seed=5), S,
                                   KernelParams(9.0, 0.6, 0.0))
-        b = np.random.default_rng(4).standard_normal(18)
-        x = G.solve_gamma_t(b)
-        assert np.abs(G.gamma.toarray().T @ x - b).max() <= 1e-10
+        rng = np.random.default_rng(4)
+        for b in (rng.standard_normal(18), rng.standard_normal((18, 5))):
+            x = G.solve_gamma_t(b)
+            assert x.shape == b.shape
+            assert np.abs(G.gamma.toarray().T @ x - b).max() <= 1e-10
+
+
+    def test_retry_only_failing_rows(self):
+        # two sites 1e-14 apart make the parent blocks that hold both singular;
+        # the batched solve raises, yet only rows whose block (parents and the
+        # node) holds both close sites go through the jitter retries
+        coords = np.random.default_rng(5).uniform(size=(60, 2))
+        coords[1] = coords[0] + 1e-14
+        S = LocationSet(coords)
+        p = KernelParams(10.0, 1.0, 0.0)
+        dag = build_nn_dag(S, 6, "coordinate-sum", seed=0)
+        ws = VecchiaWorkspace(dag)
+        retried = []
+        retry = ws._retry_row
+        ws._retry_row = lambda *a: (retried.append(a[-1]), retry(*a))[1]
+        G = ws.build(p)
+        close = set(dag.inv_order[[0, 1]])
+        holds_both = {pos for pos in range(60)
+                      if close <= set(dag.parents[pos]) | {pos}}
+        assert 0 < len(retried) and set(retried) <= holds_both
+        A = G.gamma.toarray()
+        for pos in set(range(1, 60)) - holds_both:  # position 0 has no parents
+            assert np.abs(A[pos] - standalone_row(dag, p, pos)).max() <= 1e-10
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # scipy.sparse.linalg is imported on first solve: importing it up front
+    # adds ~3 MB to the peak memory of commands that never unwhiten
+    code = ("import sys, spiox, spiox.cli; "
+            "sys.exit('scipy.sparse.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestDense:
