@@ -169,6 +169,8 @@ def cmd_predict(chain_dir, data_path, test_path, out_path, quantiles,
                 max_draws, noise_free, seed=None):
     """Posterior predictive summaries at test sites; empty outcome cells in the
     test file trigger partial (co-kriging) prediction of just those cells."""
+    if max_draws < 0:
+        raise ValidationError("--max-draws must be >= 0 (0 keeps every draw)")
     files = read_chain(chain_dir)
     meta = files["meta"]
     S, Y, X, names = read_dataset(data_path, require_complete=True)
@@ -187,6 +189,8 @@ def cmd_predict(chain_dir, data_path, test_path, out_path, quantiles,
     if X_T.shape[1] != data.p:
         raise ValidationError("test predictors do not match the fitted design")
     draws = _draws_from_chain(files, max_draws)
+    if not draws:
+        raise ValidationError(f"the chain in {chain_dir} holds no stored draws")
     model = IoxModel(S, draws[0].theta, draws[0].Sigma, m=meta["vecchia_m"],
                      order_seed=meta["seed"])
     rng = np.random.default_rng(meta["seed"] + 1000 if seed is None else seed)
@@ -211,6 +215,18 @@ def cmd_predict(chain_dir, data_path, test_path, out_path, quantiles,
     write_csv(out_path, header, rows)
     print(f"wrote {out_path}: {len(rows)} predictions from {len(draws)} draws")
     return 0
+
+
+def _parse_quantiles(text):
+    """The comma-separated probabilities of ``--quantiles``, each in [0, 1]."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or not all(0.0 <= v <= 1.0 for v in values):
+        raise ValidationError(
+            f"--quantiles must be comma-separated numbers in [0, 1], got {text!r}")
+    return values
 
 
 def cmd_summarize(chain_dir, out_path=None):
@@ -252,8 +268,10 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--quantiles", default="0.025,0.975")
-    p.add_argument("--max-draws", type=int, default=500)
+    p.add_argument("--quantiles", default="0.025,0.975",
+                   help="comma-separated probabilities in [0, 1]")
+    p.add_argument("--max-draws", type=int, default=500,
+                   help="thin the chain to at most this many draws (0: all)")
     p.add_argument("--noise-free-prediction", action="store_true")
 
     p = sub.add_parser("summarize", help="summarize a fitted chain")
@@ -279,9 +297,8 @@ def main(argv=None):
         if args.command == "fit":
             return cmd_fit(config, args.data, args.out)
         if args.command == "predict":
-            quantiles = [float(v) for v in args.quantiles.split(",")]
             return cmd_predict(args.chain, args.data, args.test, args.out,
-                               quantiles, args.max_draws,
+                               _parse_quantiles(args.quantiles), args.max_draws,
                                args.noise_free_prediction, seed=args.seed)
         if args.command == "summarize":
             return cmd_summarize(args.chain, args.out)

@@ -18,6 +18,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -79,6 +80,13 @@ def default_priors(S, q):
 # distribution samplers
 
 
+@lru_cache(maxsize=None)
+def _strict_lower(q):
+    """np.tril_indices(q, -1), built once per q: the samplers draw Sigma every
+    iteration, where building the indices costs more than the draw."""
+    return np.tril_indices(q, -1)
+
+
 def draw_inverse_wishart(nu, Psi, rng):
     """One draw from the inverse Wishart with density proportional to
     det(S)^{-(nu+q+1)/2} exp(-tr(Psi S^{-1}) / 2); mean Psi / (nu - q - 1).
@@ -93,9 +101,9 @@ def draw_inverse_wishart(nu, Psi, rng):
         raise ValidationError("inverse Wishart needs nu > q - 1")
     Lp = np.linalg.cholesky(Psi)
     A = np.zeros((q, q))
-    A[np.diag_indices(q)] = np.sqrt(rng.chisquare(nu - np.arange(q)))
+    A.flat[::q + 1] = np.sqrt(rng.chisquare(nu - np.arange(q)))
     if q > 1:
-        A[np.tril_indices(q, -1)] = rng.standard_normal(q * (q - 1) // 2)
+        A[_strict_lower(q)] = rng.standard_normal(q * (q - 1) // 2)
     M = _trtrs(A.T, Lp.T, lower=0, trans=1)[0]  # A M = Lp^T
     Sigma = M.T @ M
     return 0.5 * (Sigma + Sigma.T)
@@ -349,10 +357,11 @@ def _update_theta_componentwise(c, cols, target, state, model, priors, rng, scal
         val_old = target(G, state.V)
         old_factor = model.factors[c]
         try:
-            model.set_theta(c, prop)
+            f = model._build_factor(prop, c)
+            _install(model, [c], [prop], [f])
             V_try = state.V.copy()
             for j in cols:
-                V_try[:, j] = model.factors[c].whiten(G[:, j])
+                V_try[:, j] = f.whiten(G[:, j])
             alpha = _accept_prob(target(G, V_try) - val_old + lp_new - lp_old)
             ok = rng.random() < alpha
         except NumericalError:

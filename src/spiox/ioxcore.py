@@ -18,6 +18,7 @@ the m reference locations nearest to l.
 
 import hashlib
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,13 +67,23 @@ class OutcomeMatrix:
         return self.X.shape[1]
 
 
-def _coincidence(coords, S):
-    """For each row of coords, the index of an exactly matching row of S, else -1."""
-    lut = {S.coords[k].tobytes(): k for k in range(S.n)}
-    return np.array(
-        [lut.get(np.ascontiguousarray(c, dtype=float).tobytes(), -1) for c in coords],
-        dtype=int,
-    )
+def _row_keys(coords):
+    """One opaque key per row of coords; two keys are equal exactly when the
+    rows are equal as numbers (adding 0.0 turns -0.0 into 0.0)."""
+    c = np.ascontiguousarray(np.atleast_2d(coords), dtype=float) + 0.0
+    return c.view(np.dtype((np.void, c.itemsize * c.shape[1])))[:, 0]
+
+
+def _coincidence(coords, table):
+    """For each row of coords, the index of the row of S it equals, else -1.
+
+    ``table`` is ``IoxModel.coincidence_table``: the sorted row keys of S and
+    the order that sorts them.
+    """
+    keys, order = table
+    k = _row_keys(coords)
+    pos = np.minimum(np.searchsorted(keys, k), keys.size - 1)
+    return np.where(keys[pos] == k, order[pos], -1)
 
 
 class IoxModel:
@@ -96,6 +107,10 @@ class IoxModel:
     assignments : array of int, optional
         Outcome -> component map for the clustered variants; defaults to the
         identity (requires len(theta) == q).
+
+    The DAG, the workspaces and each component's factor are built on first
+    use, so prediction on the Vecchia path, which reads only the kernel
+    parameters, builds none of them.
     """
 
     def __init__(self, S, theta, Sigma, m=0, dag=None, assignments=None,
@@ -113,8 +128,7 @@ class IoxModel:
                 or self.assignments.max() >= len(self.theta):
             raise ValidationError("assignments must map outcomes into theta components")
         self.dense_cap = dense_cap
-        if dag is None and m > 0:
-            dag = build_nn_dag(S, m, order_scheme, order_seed)
+        self.order_scheme, self.order_seed = order_scheme, order_seed
         if isinstance(dag, (list, tuple)):
             if len(dag) != len(self.theta):
                 raise ValidationError("need one DAG per theta component")
@@ -122,26 +136,52 @@ class IoxModel:
                 if not np.array_equal(d.order, dag[0].order):
                     raise ValidationError(
                         "component DAGs must share one ordering of S")
-            self.dag = dag[0]
-            self.workspaces = [VecchiaWorkspace(d) for d in dag]
             self.m = max(d.m for d in dag)
         elif dag is not None:
-            self.dag = dag
-            self.workspaces = [VecchiaWorkspace(dag)] * len(self.theta)
             self.m = dag.m
         else:
-            self.dag = None
-            self.workspaces = None
             self.m = int(m)
-        self.factors = [self._build_factor(p, c)
-                        for c, p in enumerate(self.theta)]
+            if self.m < 0:
+                raise ValidationError("m must be >= 0")
+        self._dag_arg = dag
+        self.is_vecchia = dag is not None or self.m > 0
+        self._factors = [None] * len(self.theta)
         self._set_sigma(Sigma)
         self._pred_cache = {}
+
+    @cached_property
+    def dag(self):
+        """The nearest-neighbour DAG over S (the first component's when each
+        has its own), or None on the exact path."""
+        if not self.is_vecchia:
+            return None
+        if self._dag_arg is None:
+            return build_nn_dag(self.S, self.m, self.order_scheme, self.order_seed)
+        return self._dag_arg[0] if isinstance(self._dag_arg, (list, tuple)) \
+            else self._dag_arg
+
+    @cached_property
+    def workspaces(self):
+        """One VecchiaWorkspace per component (shared when the DAG is), or
+        None on the exact path."""
+        if not self.is_vecchia:
+            return None
+        if isinstance(self._dag_arg, (list, tuple)):
+            return [VecchiaWorkspace(d) for d in self._dag_arg]
+        return [VecchiaWorkspace(self.dag)] * len(self.theta)
+
+    @cached_property
+    def coincidence_table(self):
+        """Sorted row keys of S and the order that sorts them, for
+        :func:`_coincidence`."""
+        keys = _row_keys(self.S.coords)
+        order = np.argsort(keys)
+        return keys[order], order
 
     # -- parameter updates -------------------------------------------------
 
     def _build_factor(self, p, c=0):
-        if self.workspaces is not None:
+        if self.is_vecchia:
             return self.workspaces[c].build(p)
         return dense_chol_factor(self.S, p, cap=self.dense_cap)
 
@@ -162,9 +202,23 @@ class IoxModel:
         self._set_sigma(np.asarray(Sigma, dtype=float))
 
     def set_theta(self, c, p):
-        """Replace component c's kernel params and rebuild its factor."""
+        """Replace component c's kernel params; its factor is rebuilt on next use."""
         self.theta[c] = p
-        self.factors[c] = self._build_factor(p, c)
+        self._factors[c] = None
+
+    @property
+    def factors(self):
+        """The per-component factors, each built on first use. Entries may be
+        assigned (the sampler installs factors it built itself)."""
+        for c in range(len(self.theta)):
+            self._factor(c)
+        return self._factors
+
+    def _factor(self, c):
+        f = self._factors[c]
+        if f is None:
+            f = self._factors[c] = self._build_factor(self.theta[c], c)
+        return f
 
     # -- accessors ----------------------------------------------------------
 
@@ -180,30 +234,39 @@ class IoxModel:
     def k(self):
         return len(self.theta)
 
-    @property
-    def is_vecchia(self):
-        return self.workspaces is not None
-
     def factor_for(self, j):
-        return self.factors[self.assignments[j]]
+        return self._factor(self.assignments[j])
 
     def params_for(self, j):
         return self.theta[self.assignments[j]]
 
     # -- h and r ------------------------------------------------------------
 
+    def coincidence(self, T):
+        """For each point of T, the index of the reference location it equals,
+        else -1."""
+        return _coincidence(T, self.coincidence_table)
+
     def _pred_geometry(self, T):
         """Geometry shared by every outcome and every parameter draw at points
-        T: reference coincidences, prediction parents, and the distance blocks.
-        Cached by content digest so repeated prediction passes pay once."""
-        key = hashlib.blake2b(np.ascontiguousarray(T).tobytes(),
-                              digest_size=16).digest()
+        T: reference coincidences, prediction parents, and the distances in
+        their blocks. Cached by content digest so repeated prediction passes
+        pay once.
+
+        On the Vecchia path the distances are deduplicated as in
+        :class:`~spiox.vecchia.VecchiaWorkspace`: ``d_unique`` holds each
+        distinct parent-parent (upper triangle) and parent-site distance once,
+        and ``pp_idx`` / ``ps_idx`` gather the blocks from the correlations of
+        ``d_unique`` with one slot appended for the diagonal 1 + tau2.
+        """
+        key = (T.shape, hashlib.blake2b(np.ascontiguousarray(T).tobytes(),
+                                        digest_size=16).digest())
         hitcache = self._pred_cache.get(key)
         if hitcache is not None:
             return hitcache
         if len(self._pred_cache) > 32:
             self._pred_cache.clear()
-        coin = _coincidence(T, self.S)
+        coin = self.coincidence(T)
         if not self.is_vecchia:
             entry = {"coin": coin, "DT": cdist(T, self.S.coords)}
         else:
@@ -213,7 +276,17 @@ class IoxModel:
             C = self.S.coords[nbr]  # (N, k, d)
             Dpp = np.sqrt(((C[:, :, None, :] - C[:, None, :, :]) ** 2).sum(-1))
             Dps = np.sqrt(((C - T[:, None, :]) ** 2).sum(-1))
-            entry = {"coin": coin, "nbr": nbr, "Dpp": Dpp, "Dps": Dps}
+            N, k = nbr.shape
+            iu, ju = np.triu_indices(k, 1)
+            d_unique, inv = np.unique(np.concatenate([Dpp[:, iu, ju].ravel(),
+                                                      Dps.ravel()]),
+                                      return_inverse=True)
+            pp_idx = np.full((N, k, k), d_unique.size, dtype=np.intp)
+            upper = inv[:N * iu.size].reshape(N, iu.size)
+            pp_idx[:, iu, ju] = upper
+            pp_idx[:, ju, iu] = upper
+            entry = {"coin": coin, "nbr": nbr, "d_unique": d_unique,
+                     "pp_idx": pp_idx, "ps_idx": inv[N * iu.size:].reshape(N, k)}
         self._pred_cache[key] = entry
         return entry
 
@@ -241,14 +314,12 @@ class IoxModel:
             idx = np.tile(np.arange(self.n), (T.shape[0], 1))
             return idx, H, np.maximum(r, 0.0)
         nbr = geo["nbr"]
-        Rpp = matern(geo["Dpp"], p)
-        rps = matern(geo["Dps"], p)
-        H = np.linalg.solve(Rpp, rps[..., None])[..., 0]
+        rho = np.append(matern(geo["d_unique"], p), 1.0 + p.tau2)
+        rps = rho[geo["ps_idx"]]
+        H = np.linalg.solve(rho[geo["pp_idx"]], rps[..., None])[..., 0]
         r = (1.0 + p.tau2) - np.einsum("tk,tk->t", H, rps)
         if hit.any():
-            for t in np.flatnonzero(hit):
-                H[t] = 0.0
-                H[t, nbr[t] == coin[t]] = 1.0
+            H[hit] = nbr[hit] == coin[hit, None]
             r[hit] = 0.0
         return nbr, H, np.maximum(r, 0.0)
 

@@ -60,28 +60,21 @@ class PredictionRequest:
 def apply_draw(model, draw):
     """Point the model's kernel parameters and Sigma at a posterior draw.
 
-    On the Vecchia path the prediction projections read kernel parameters
-    directly (parent-block solves), so the sparse factors are left stale
-    rather than rebuilt per draw; do not evaluate likelihoods on the model
-    afterwards without rebuilding. The dense path rebuilds what changed.
+    A component whose parameters change drops its factor, and the model
+    rebuilds it on first use: the dense path's projections read it, the
+    Vecchia path's parent-block solves do not. Likelihoods evaluated on the
+    model afterwards are those of the draw.
     """
     for c, p in enumerate(draw.theta):
         if model.theta[c] != p:
-            if model.is_vecchia:
-                model.theta[c] = p
-            else:
-                model.set_theta(c, p)
+            model.set_theta(c, p)
     if not np.array_equal(model.Sigma, draw.Sigma):
         model.set_sigma(draw.Sigma)
 
 
-def _site_moments(T, X_T, draw, data, model, include_noise=True):
-    """Per-site predictive means and diagonal scale factors.
-
-    Returns (mean, dvec): mean is (N, q); dvec is (N, q) with
-    dvec[t, j] = sqrt(r_j(t)), so cov at site t is D Sigma D (response) with
-    Delta added separately for the latent model.
-    """
+def _site_mean_r(T, X_T, draw, data, model):
+    """Per-site predictive means and residual variances, both (N, q), from
+    one ``h_r_compact`` call per outcome; r_j(t) includes the nugget."""
     T = np.atleast_2d(np.asarray(T, dtype=float))
     N = T.shape[0]
     q = model.q
@@ -93,90 +86,160 @@ def _site_moments(T, X_T, draw, data, model, include_noise=True):
         idx, vals, rj = model.h_r_compact(T, j)
         mean[:, j] = trend[:, j] + np.einsum("tk,tk->t", vals, G[idx, j])
         r[:, j] = rj
+    return mean, r
+
+
+def _scale(r, draw, model, include_noise):
+    """dvec = sqrt(r); without noise the response model's nugget, which rides
+    inside r_j, is stripped per outcome."""
     if not include_noise and draw.W is None:
-        # response model: the nugget rides inside r_j; strip it per outcome
-        for j in range(q):
-            r[:, j] = np.maximum(r[:, j] - model.params_for(j).tau2, 0.0)
-    return mean, np.sqrt(np.maximum(r, 0.0))
+        r = np.maximum(r - [model.params_for(j).tau2 for j in range(model.q)], 0.0)
+    return np.sqrt(np.maximum(r, 0.0))
+
+
+def _site_moments(T, X_T, draw, data, model, include_noise=True):
+    """Per-site predictive means and diagonal scale factors.
+
+    Returns (mean, dvec): mean is (N, q); dvec is (N, q) with
+    dvec[t, j] = sqrt(r_j(t)), so cov at site t is D Sigma D (response) with
+    Delta added separately for the latent model.
+    """
+    mean, r = _site_mean_r(T, X_T, draw, data, model)
+    return mean, _scale(r, draw, model, include_noise)
+
+
+def _noise_width(draw, include_noise):
+    """Standard normals per predicted entry: the field's, plus the
+    measurement noise's for the latent model."""
+    return 2 if draw.W is not None and include_noise else 1
+
+
+def _partial_normals(miss, on_ref, width):
+    """Standard normals each co-kriged row draws: none for the field where
+    the row is pinned to a reference site."""
+    return miss.sum(axis=1) * np.where(on_ref, width - 1, width)
+
+
+def _draw_full(mean, dvec, draw, U):
+    """Full-vector draws mean + D Ls z (+ Delta^(1/2) u) for rows of per-site
+    moments; row t of U holds z (q values), then u when it is drawn."""
+    q = mean.shape[1]
+    Y = mean + dvec * (U[:, :q] @ np.linalg.cholesky(draw.Sigma).T)
+    if U.shape[1] > q:
+        Y = Y + np.sqrt(draw.Delta) * U[:, q:]
+    return Y
 
 
 def predict_full(t, draw, data, model, rng, X_t=None, include_noise=True):
-    """One draw of the full outcome vector at site t given a posterior draw.
+    """One draw of the full outcome vector at site t, or at each row of a
+    stack of sites, given a posterior draw.
 
     Response model: y(t) ~ N(x(t)^T B + H(t)(y - X B), D Sigma D).
     Latent model: w(t) ~ N(H(t) w, D Sigma D), then y(t) adds the trend and,
-    when include_noise, Delta^(1/2) u.
+    when include_noise, Delta^(1/2) u. A stack draws its standard normals
+    site by site, as that many single-site calls would.
     """
-    t = np.asarray(t, dtype=float).ravel()
-    X_t = np.ones((1, data.p)) if X_t is None else np.atleast_2d(X_t)
-    mean, dvec = _site_moments(t[None, :], X_t, draw, data, model,
-                               include_noise=include_noise)
-    Ls = np.linalg.cholesky(draw.Sigma)
-    y = mean[0] + dvec[0] * (Ls @ rng.standard_normal(model.q))
-    if draw.W is not None and include_noise:
-        y = y + np.sqrt(draw.Delta) * rng.standard_normal(model.q)
-    return y
+    single = np.ndim(t) == 1
+    T = np.atleast_2d(np.asarray(t, dtype=float))
+    X_t = np.ones((T.shape[0], data.p)) if X_t is None else np.atleast_2d(X_t)
+    mean, dvec = _site_moments(T, X_t, draw, data, model, include_noise=include_noise)
+    width = _noise_width(draw, include_noise) * model.q
+    Y = _draw_full(mean, dvec, draw, rng.standard_normal((T.shape[0], width)))
+    return Y[0] if single else Y
 
 
 def predict_partial(t, y_obs, draw, data, model, rng, X_t=None,
-                    include_noise=True):
+                    include_noise=True, *, moments=None, normals=None):
     """Draw the missing outcomes at t given the observed ones (co-kriging).
 
     ``y_obs`` is a length-q vector with NaN marking the missing entries m; the
     draw targets p(y_m(t) | y_o(t), y) with conditional covariance
-    D_m Q_m^{-1} D_m, where Q_m is the missing-block of Sigma^{-1}.
+    D_m Q_m^{-1} D_m, where Q_m is the missing-block of Sigma^{-1}. Returns
+    the drawn values of the missing entries.
+
+    ``t`` may also be a stack of sites with one row of ``y_obs`` each, in any
+    mix of missingness patterns; the result is then ``y_obs`` with its NaN
+    entries drawn. Rows are grouped by pattern, so each pattern takes one
+    Cholesky of Q_m per call. Standard normals are laid out site by site, as
+    single-site calls would draw them. ``moments`` = (mean, dvec, coin) of
+    the sites (``_site_moments`` with the nugget, and the coincidence index)
+    and ``normals`` stand in for computing them here and for drawing from
+    ``rng``.
 
     When t coincides with a reference site every r_j(t) is zero and the
     observed-side scaling is degenerate; the site is then pinned to the
     reference-set values (exact conditioning), with measurement noise still
     added for the latent model. Any other site, however close to S, takes the
     general formula; an exactly zero observed-side r_j(t) there is a
-    NumericalError.
+    NumericalError naming the first such site.
     """
-    t = np.asarray(t, dtype=float).ravel()
-    y_obs = np.asarray(y_obs, dtype=float).ravel()
-    m_idx = np.flatnonzero(np.isnan(y_obs))
-    o_idx = np.flatnonzero(~np.isnan(y_obs))
-    if len(m_idx) == 0:
+    single = np.ndim(t) == 1
+    T = np.atleast_2d(np.asarray(t, dtype=float))
+    y_obs = np.atleast_2d(np.asarray(y_obs, dtype=float))
+    miss = np.isnan(y_obs)
+    if not miss.any(axis=1).all():
         raise ValidationError("no missing outcomes at this site")
-    if len(o_idx) == 0:
+    if miss.all(axis=1).any():
         raise ValidationError("predict_partial needs at least one observed outcome")
-    X_t = np.ones((1, data.p)) if X_t is None else np.atleast_2d(X_t)
-    mean, dvec = _site_moments(t[None, :], X_t, draw, data, model,
-                               include_noise=True)
-    mean, dvec = mean[0], dvec[0]
-    Q = np.linalg.inv(draw.Sigma)
+    X_t = np.ones((T.shape[0], data.p)) if X_t is None else np.atleast_2d(X_t)
+    if moments is None:
+        mean, dvec = _site_moments(T, X_t, draw, data, model, include_noise=True)
+        coin = model._pred_geometry(T)["coin"]  # cached by _site_moments
+    else:
+        mean, dvec, coin = moments
     latent = draw.W is not None
+    width = _noise_width(draw, include_noise)
+    on_ref = coin >= 0
+    counts = _partial_normals(miss, on_ref, width)
+    if normals is None:
+        normals = rng.standard_normal(int(counts.sum()))
+    # where in ``normals`` each missing entry's first standard normal sits
+    slot = (np.cumsum(counts) - counts)[:, None] + np.cumsum(miss, axis=1) - 1
 
-    k = int(model._pred_geometry(t[None, :])["coin"][0])  # cached by _site_moments
-    if k >= 0:
-        # t sits on the reference set: the GP part is the stored value there
-        if latent:
-            base = X_t[0] @ draw.B + draw.W[k]
-            out = base[m_idx]
-            if include_noise:
-                out = out + np.sqrt(draw.Delta[m_idx]) * rng.standard_normal(len(m_idx))
-            return out
-        return data.Y[k, m_idx]
-    if np.any(dvec[o_idx] == 0.0):
+    bad = ~on_ref & ((dvec == 0.0) & ~miss).any(axis=1)
+    if bad.any():
         raise NumericalError(
-            f"co-kriging at site {t.tolist()}: zero residual variance for an "
-            "observed outcome at a site that is not a reference location")
+            f"co-kriging at site {T[np.argmax(bad)].tolist()}: zero residual "
+            "variance for an observed outcome at a site that is not a reference "
+            "location")
 
-    Qm = Q[np.ix_(m_idx, m_idx)]
-    Qmo = Q[np.ix_(m_idx, o_idx)]
-    Dm = dvec[m_idx]
-    Do = dvec[o_idx]
-    resid_o = (y_obs[o_idx] - mean[o_idx]) / Do
-    Qm_chol = np.linalg.cholesky(Qm)
-    H_mo = -sla.cho_solve((Qm_chol, True), Qmo)
-    cond_mean = mean[m_idx] + Dm * (H_mo @ resid_o)
-    # covariance D_m Q_m^{-1} D_m: draw via the Cholesky of Q_m
-    z = sla.solve_triangular(Qm_chol.T, rng.standard_normal(len(m_idx)), lower=False)
-    out = cond_mean + Dm * z
-    if latent and include_noise:
-        out = out + np.sqrt(draw.Delta[m_idx]) * rng.standard_normal(len(m_idx))
-    return out
+    out = y_obs.copy()
+    ref = np.flatnonzero(on_ref)
+    if ref.size:
+        # t sits on the reference set: the GP part is the stored value there
+        ri, cj = np.nonzero(miss[ref])
+        rows = ref[ri]
+        if latent:
+            vals = (X_t[ref] @ draw.B + draw.W[coin[ref]])[ri, cj]
+            if include_noise:
+                vals = vals + np.sqrt(draw.Delta[cj]) * normals[slot[rows, cj]]
+        else:
+            vals = data.Y[coin[rows], cj]
+        out[rows, cj] = vals
+    free = np.flatnonzero(~on_ref)
+    if free.size:
+        Q = np.linalg.inv(draw.Sigma)
+        # one integer code per missingness pattern (bit j set: outcome j missing)
+        code = miss[free] @ (1 << np.arange(miss.shape[1]))
+        for c in np.unique(code):
+            rows = free[code == c]
+            pat = miss[rows[0]]
+            Qm = Q[pat]
+            Qm_chol = np.linalg.cholesky(Qm[:, pat])
+            H_mo = -sla.cho_solve((Qm_chol, True), Qm[:, ~pat], check_finite=False)
+            mean_r, dvec_r = mean[rows], dvec[rows]
+            Dm = dvec_r[:, pat]
+            resid_o = (y_obs[rows][:, ~pat] - mean_r[:, ~pat]) / dvec_r[:, ~pat]
+            cond_mean = mean_r[:, pat] + Dm * (resid_o @ H_mo.T)
+            # covariance D_m Q_m^{-1} D_m: draw via the Cholesky of Q_m
+            s = slot[rows][:, pat]
+            z = sla.solve_triangular(Qm_chol.T, normals[s].T, lower=False,
+                                     check_finite=False).T
+            vals = cond_mean + Dm * z
+            if latent and include_noise:
+                vals = vals + np.sqrt(draw.Delta[pat]) * normals[s + Dm.shape[1]]
+            out[rows[:, None], np.flatnonzero(pat)] = vals
+    return out[0, miss[0]] if single else out
 
 
 def simulate_prior_reference(model, rng):
@@ -194,8 +257,7 @@ def simulate_prior_nonreference(T, model, rng):
     """Draw outcomes at non-reference sites T: simulate at S, then draw each
     site from N(H(t) y_S, D Sigma D) (sites conditionally independent)."""
     Tc = T.coords if hasattr(T, "coords") else np.atleast_2d(np.asarray(T, dtype=float))
-    coin = np.array([(model.S.coords == t).all(axis=1).any() for t in Tc])
-    if coin.any():
+    if (model.coincidence(Tc) >= 0).any():
         raise ValidationError(
             "T overlaps the reference set; simulate at S with "
             "simulate_prior_reference and read the matching rows instead")
@@ -220,6 +282,12 @@ def posterior_predictive(T, X_T, draws, data, model, rng, include_noise=True,
     Returns an (n_draws, N, q) array; entries for observed outcomes (through
     ``y_obs``, NaN = missing) are carried through unchanged so summaries can
     mask them. Each posterior draw re-anchors the model's parameters.
+
+    Each draw makes one pass over all sites: one ``h_r_compact`` call per
+    outcome, then fully missing rows from the full-vector formula and the
+    partly observed rows in one ``predict_partial`` call, which groups them by
+    missingness pattern. A draw's standard normals come from one
+    ``rng.standard_normal`` call, laid out site by site in row order.
     """
     if isinstance(T, PredictionRequest):
         X_T = T.X_T
@@ -231,28 +299,32 @@ def posterior_predictive(T, X_T, draws, data, model, rng, include_noise=True,
     q = model.q
     use = draws if max_draws is None else draws[:max_draws]
     out = np.empty((len(use), N, q))
+    if y_obs is not None:
+        miss = np.isnan(y_obs)
+        full = miss.all(axis=1)
+        part = miss.any(axis=1) & ~full
+        coin = model._pred_geometry(Tc)["coin"]
     for di, draw in enumerate(use):
         apply_draw(model, draw)
+        mean, r = _site_mean_r(Tc, X_T, draw, data, model)
+        width = _noise_width(draw, include_noise)
         if y_obs is None:
-            mean, dvec = _site_moments(Tc, X_T, draw, data, model,
-                                       include_noise=include_noise)
-            Z = rng.standard_normal((N, q)) @ np.linalg.cholesky(draw.Sigma).T
-            Y = mean + dvec * Z
-            if draw.W is not None and include_noise:
-                Y = Y + np.sqrt(draw.Delta) * rng.standard_normal((N, q))
-            out[di] = Y
-        else:
-            Y = np.array(y_obs, dtype=float)
-            for tix in range(N):
-                row = y_obs[tix]
-                miss = np.isnan(row)
-                if miss.all():
-                    draw_row = predict_full(Tc[tix], draw, data, model, rng,
-                                            X_t=X_T[tix], include_noise=include_noise)
-                    Y[tix] = draw_row
-                elif miss.any():
-                    Y[tix, miss] = predict_partial(
-                        Tc[tix], row, draw, data, model, rng, X_t=X_T[tix],
-                        include_noise=include_noise)
-            out[di] = Y
+            # the field's normals for every site, then the noise's
+            U = np.concatenate(rng.standard_normal((width, N, q)), axis=1)
+            out[di] = _draw_full(mean, _scale(r, draw, model, include_noise), draw, U)
+            continue
+        counts = np.where(full, q * width, _partial_normals(miss, coin >= 0, width))
+        u = rng.standard_normal(int(counts.sum()))
+        owner = np.repeat(np.arange(N), counts)
+        Y = np.array(y_obs, dtype=float)
+        if full.any():
+            Y[full] = _draw_full(mean[full], _scale(r[full], draw, model, include_noise),
+                                 draw, u[full[owner]].reshape(-1, q * width))
+        if part.any():
+            Y[part] = predict_partial(
+                Tc[part], y_obs[part], draw, data, model, None, X_t=X_T[part],
+                include_noise=include_noise,
+                moments=(mean[part], _scale(r[part], draw, model, True), coin[part]),
+                normals=u[part[owner]])
+        out[di] = Y
     return out

@@ -301,13 +301,16 @@ def test_criterion_5_sampler_moments():
 
 
 def test_criterion_6_parameter_recovery(tmp_path):
-    # five independent dataset fits; each runs in a fresh interpreter (two at
-    # a time on this box) so wall time stays inside the budget and no BLAS
-    # state is shared across forks
+    # five independent dataset fits, each in a fresh interpreter so no BLAS
+    # state is shared across forks. All five start at once: each fit is
+    # single-threaded and CPU-bound, so with more fits than CPUs every CPU
+    # stays busy until the last fit ends, while a cap at the CPU count leaves
+    # CPUs idle through the last round (on two CPUs, 3 rounds of one fit's
+    # time against 2.5)
     t0 = time.perf_counter()
     nu_truth = np.array([0.5, 0.8, 1.2])
     script = os.path.join(os.path.dirname(__file__), "_criterion6_worker.py")
-    n_workers = min(2, os.cpu_count() or 1)
+    n_workers = 5
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     pending = list(range(5))
     running = {}

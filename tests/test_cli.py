@@ -217,23 +217,8 @@ class TestPredict:
     def test_cokriging_next_to_reference_site(self, sim_file, tmp_path):
         # nugget-free, nu = 2.5 kernels make r_j(t) underflow 1e-12 at 1e-7
         # from a reference site; the site is not on S, so it is co-kriged
-        from spiox.config import RunConfig
-        from spiox.dataio import dataset_hash, write_chain
-        from spiox.inference import Chain
         S, Y, _, names = read_dataset(sim_file)
-        nd, q = 3, 3
-        theta = np.empty((nd, q, 3))
-        theta[:, :, 0], theta[:, :, 1], theta[:, :, 2] = 5.0, 2.5, 0.0
-        draws = {"beta": np.zeros((nd, 1, q)), "sigma": np.tile(np.eye(q), (nd, 1, 1)),
-                 "theta": theta, "pi": np.tile(np.arange(q), (nd, 1)),
-                 "loglik": np.zeros(nd)}
-        meta = {"n": S.n, "q": q, "p": 1, "iters": nd, "burn": 0, "thin": 1,
-                "seed": 5, "model": "response", "theta_mode": "full",
-                "theta_update": "joint", "vecchia_m": 8, "n_draws": nd,
-                "acceptance_rate": 0.5}
-        chain = tmp_path / "chain"
-        write_chain(chain, Chain(draws, {}, {}, meta),
-                    RunConfig(vecchia_m=8, seed=5).validate(), dataset_hash(S.coords), names)
+        chain = constructed_chain(tmp_path / "chain", S.coords, names, nu=2.5, tau2=0.0)
         t = S.coords[7] + 1e-7
         test = tmp_path / "near.csv"
         write(test, "coord_1,coord_2,y_1,y_2,y_3\n"
@@ -244,6 +229,83 @@ class TestPredict:
         header, rows = read_mixed(out)
         assert len(rows) == 2
         assert all(np.isfinite(r[header.index("mean")]) for r in rows)
+
+    def test_negative_zero_coordinate_pinned(self, tmp_path):
+        # the reference site 0.0,0.5 and the test site -0.0,0.5 are one point
+        rng = np.random.default_rng(8)
+        coords = rng.uniform(0.0, 1.0, size=(30, 2))
+        coords[4] = [0.0, 0.5]
+        Y = rng.standard_normal((30, 3))
+        data = tmp_path / "data.csv"
+        write_dataset(data, coords, Y)
+        chain = constructed_chain(tmp_path / "chain", coords, ["y_1", "y_2", "y_3"],
+                                  nu=0.8, tau2=1e-3)
+        for site in ("-0.0,0.5", "0.0,0.5"):
+            out = tmp_path / "pred.csv"
+            write(tmp_path / "t.csv", f"coord_1,coord_2,y_1,y_2,y_3\n{site},0.1,,\n")
+            assert main(["predict", "--chain", str(chain), "--data", str(data),
+                         "--test", str(tmp_path / "t.csv"), "--out", str(out)]) == 0
+            header, rows = read_mixed(out)
+            np.testing.assert_allclose([r[header.index("mean")] for r in rows],
+                                       Y[4, 1:], rtol=1e-12)
+            assert all(r[header.index("sd")] <= 1e-12 for r in rows)
+
+    @pytest.mark.parametrize("option, value", [
+        ("--max-draws", "-1"), ("--quantiles", "abc"), ("--quantiles", "2"),
+        ("--quantiles", "0.1,nan")])
+    def test_bad_option_exits_2(self, sim_file, fitted, tmp_path, capsys, option, value):
+        write(tmp_path / "t.csv", "coord_1,coord_2,y_1,y_2,y_3\n0.5,0.5,,,\n")
+        rc = main(["predict", "--chain", str(fitted), "--data", str(sim_file),
+                   "--test", str(tmp_path / "t.csv"), "--out", str(tmp_path / "p.csv"),
+                   option, value])
+        assert rc == 2
+        assert option in capsys.readouterr().err
+
+    def test_chain_without_draws_exits_2(self, sim_file, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        write(cfg, FIT_CFG.replace("iters = 10", "iters = 0").replace("burn = 5", "burn = 0"))
+        assert main(["fit", "--config", str(cfg), "--data", str(sim_file),
+                     "--out", str(tmp_path / "chain")]) == 0
+        write(tmp_path / "t.csv", "coord_1,coord_2,y_1,y_2,y_3\n0.5,0.5,,,\n")
+        rc = main(["predict", "--chain", str(tmp_path / "chain"), "--data", str(sim_file),
+                   "--test", str(tmp_path / "t.csv"), "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "no stored draws" in capsys.readouterr().err
+
+    def test_vecchia_predict_builds_no_dag_or_factor(self, sim_file, fitted, tmp_path,
+                                                      monkeypatch):
+        from spiox import ioxcore
+
+        def forbidden(*a, **k):
+            raise AssertionError("spiox predict built a DAG or a workspace")
+        monkeypatch.setattr(ioxcore, "build_nn_dag", forbidden)
+        monkeypatch.setattr(ioxcore, "VecchiaWorkspace", forbidden)
+        write(tmp_path / "t.csv", "coord_1,coord_2,y_1,y_2,y_3\n"
+                                  "0.41,0.13,0.5,,-0.2\n0.9,0.9,,,\n")
+        assert main(["predict", "--chain", str(fitted), "--data", str(sim_file),
+                     "--test", str(tmp_path / "t.csv"),
+                     "--out", str(tmp_path / "p.csv")]) == 0
+
+
+def constructed_chain(path, coords, names, nu, tau2, nd=3):
+    """A response chain of nd identical draws (phi = 5, Sigma = I, m = 8)
+    written with the program's chain writer."""
+    from spiox.config import RunConfig
+    from spiox.dataio import dataset_hash, write_chain
+    from spiox.inference import Chain
+    q = len(names)
+    theta = np.empty((nd, q, 3))
+    theta[:, :, 0], theta[:, :, 1], theta[:, :, 2] = 5.0, nu, tau2
+    draws = {"beta": np.zeros((nd, 1, q)), "sigma": np.tile(np.eye(q), (nd, 1, 1)),
+             "theta": theta, "pi": np.tile(np.arange(q), (nd, 1)),
+             "loglik": np.zeros(nd)}
+    meta = {"n": coords.shape[0], "q": q, "p": 1, "iters": nd, "burn": 0, "thin": 1,
+            "seed": 5, "model": "response", "theta_mode": "full",
+            "theta_update": "joint", "vecchia_m": 8, "n_draws": nd,
+            "acceptance_rate": 0.5}
+    write_chain(path, Chain(draws, {}, {}, meta),
+                RunConfig(vecchia_m=8, seed=5).validate(), dataset_hash(coords), names)
+    return path
 
 
 class TestLatentCli:

@@ -213,6 +213,52 @@ class TestPredictPartial:
         with pytest.raises(NumericalError, match="site"):
             predict_partial(t, np.array([0.1, np.nan]), draw, data, model, ZeroRng())
 
+    def test_negative_zero_coordinate_is_the_reference_site(self):
+        # -0.0 == 0.0: the site is pinned like its positive-zero twin
+        n, q = 12, 2
+        coords = rand_locations(n, seed=40).coords.copy()
+        coords[3] = [0.0, 0.5]
+        S = LocationSet(coords)
+        thetas = [KernelParams(9.0, 0.8, 1e-3), KernelParams(12.0, 1.3, 1e-3)]
+        Sigma = rand_spd(q, seed=41, diag_boost=1.0)
+        data = OutcomeMatrix(np.random.default_rng(42).standard_normal((n, q)))
+        draw = PosteriorDraw(B=np.zeros((1, q)), Sigma=Sigma, theta=thetas)
+        for m in (0, 6):
+            model = IoxModel(S, thetas, Sigma, m=m)
+            assert model.coincidence(np.array([[-0.0, 0.5], [0.0, -0.0]])).tolist() == [3, -1]
+            got = predict_partial(np.array([-0.0, 0.5]), np.array([0.1, np.nan]),
+                                  draw, data, model, ZeroRng())
+            assert got[0] == data.Y[3, 1]
+            with pytest.raises(ValidationError, match="reference"):
+                simulate_prior_nonreference(np.array([[-0.0, 0.5]]), model,
+                                            np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m, latent", [(0, False), (6, False), (6, True)])
+    def test_stack_equals_single_site_calls(self, m, latent):
+        model, data, draw, S, _, _ = setup(n=16, q=3, seed=43, m=m, tau2=1e-2)
+        if latent:
+            rng = np.random.default_rng(44)
+            draw = PosteriorDraw(B=draw.B, Sigma=draw.Sigma, theta=draw.theta,
+                                 Delta=rng.uniform(0.1, 0.3, 3),
+                                 W=data.Y + 0.1 * rng.standard_normal(data.Y.shape))
+        T = np.vstack([np.random.default_rng(45).uniform(0, 1, (5, 2)), S.coords[[2, 9]]])
+        y_obs = np.random.default_rng(46).standard_normal((7, 3))
+        for i, pat in enumerate([[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1],
+                                 [1, 1, 0], [0, 1, 0], [1, 0, 1]]):
+            y_obs[i, np.array(pat, bool)] = np.nan
+        stack = predict_partial(T, y_obs, draw, data, model, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        for i in range(7):
+            one = predict_partial(T[i], y_obs[i], draw, data, model, rng)
+            miss = np.isnan(y_obs[i])
+            np.testing.assert_allclose(stack[i, miss], one, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(stack[i, ~miss], y_obs[i, ~miss])
+        full = predict_full(T, draw, data, model, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for i in range(7):
+            np.testing.assert_allclose(full[i], predict_full(T[i], draw, data, model, rng),
+                                       rtol=1e-12, atol=1e-12)
+
     def test_requires_missing_and_observed(self):
         model, data, draw, S, _, _ = setup(n=8, q=2, seed=13)
         with pytest.raises(ValidationError):
@@ -331,6 +377,21 @@ class TestNonReference:
             diffs[rep] = yt - Ys[4]
         rms = np.sqrt((diffs ** 2).mean(axis=0))
         assert np.all(rms <= 1e-2)
+
+
+class TestFactorFree:
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_loglik_after_apply_draw_equals_fresh_model(self, m):
+        from spiox.ioxcore import loglik
+        from spiox.predict import apply_draw
+        model, data, draw, S, thetas, Sigma = setup(n=20, q=2, seed=48, m=m)
+        new = PosteriorDraw(B=draw.B, Sigma=2.0 * Sigma,
+                            theta=[KernelParams(5.0, 0.7, 1e-2), thetas[1]])
+        loglik(data.Y, model)  # the old factors exist before the draw is applied
+        apply_draw(model, new)
+        fresh = IoxModel(S, new.theta, new.Sigma, m=m,
+                         order_scheme=np.arange(20) if m else "random")
+        assert loglik(data.Y, model) == loglik(data.Y, fresh)
 
 
 class TestPredictionRequest:
