@@ -8,6 +8,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -93,7 +94,8 @@ def _write_summary(outdir, files, quantiles=(0.025, 0.975)):
 def cmd_fit(config, data_path, out_dir):
     """Fit the configured model; write per-parameter draw CSVs, acceptance and
     timing metadata, and a posterior summary table."""
-    S, Y, X, names = read_dataset(data_path, require_complete=True)
+    coords, Y, X, names = read_dataset(data_path, require_complete=True)
+    S = LocationSet(coords)
     data = OutcomeMatrix(Y, X)
     os.makedirs(out_dir, exist_ok=True)
     s_hash = dataset_hash(S.coords)
@@ -104,12 +106,8 @@ def cmd_fit(config, data_path, out_dir):
         print(text)
         return 0
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    configs = []
-    for i, ss in enumerate(seeds):
-        sub_seed = int(ss.generate_state(2, dtype=np.uint64)[0] >> 1)
-        ci = RunConfig(**{**config.echo(), "seed": sub_seed})
-        ci.sim_sigma = config.sim_sigma
-        configs.append(ci.validate())
+    configs = [replace(config, seed=int(ss.generate_state(2, dtype=np.uint64)[0] >> 1))
+               for ss in seeds]
     def one(i):
         return run_chain(configs[i], data, S)
     if config.threads > 1:
@@ -173,19 +171,21 @@ def cmd_predict(chain_dir, data_path, test_path, out_path, quantiles,
         raise ValidationError("--max-draws must be >= 0 (0 keeps every draw)")
     files = read_chain(chain_dir)
     meta = files["meta"]
-    S, Y, X, names = read_dataset(data_path, require_complete=True)
-    if dataset_hash(S.coords) != meta["s_hash"]:
+    coords, Y, X, names = read_dataset(data_path, require_complete=True)
+    if dataset_hash(coords) != meta["s_hash"]:
         raise ValidationError(
             "reference-set hash mismatch: predictions are defined relative to "
             "the reference set the chain was fitted on")
     if meta["q"] != Y.shape[1]:
         raise ValidationError("outcome count differs between chain and data")
+    S = LocationSet(coords)
     data = OutcomeMatrix(Y, X)
+    # test sites may repeat (two co-kriging requests at one site)
     T, Yt, Xt, tnames = read_dataset(test_path, require_complete=False)
     if tnames != meta["outcome_names"]:
         raise ValidationError(
             f"test outcome columns {tnames} do not match fitted {meta['outcome_names']}")
-    X_T = Xt if Xt is not None else np.ones((T.n, data.p))
+    X_T = Xt if Xt is not None else np.ones((T.shape[0], data.p))
     if X_T.shape[1] != data.p:
         raise ValidationError("test predictors do not match the fitted design")
     draws = _draws_from_chain(files, max_draws)
@@ -200,16 +200,16 @@ def cmd_predict(chain_dir, data_path, test_path, out_path, quantiles,
                                  include_noise=not noise_free)
     q = meta["q"]
     qlabels = [f"q{v:g}" for v in quantiles]
-    header = (["site"] + [f"coord_{k+1}" for k in range(T.d)]
+    header = (["site"] + [f"coord_{k+1}" for k in range(T.shape[1])]
               + ["outcome", "mean", "sd"] + qlabels)
     rows = []
-    for t in range(T.n):
+    for t in range(T.shape[0]):
         for j in range(q):
             if not fully_missing and not np.isnan(Yt[t, j]):
                 continue  # observed at the test site: nothing to predict
             x = preds[:, t, j]
             qs = np.quantile(x, quantiles)
-            rows.append([t] + list(T.coords[t]) + [meta["outcome_names"][j],
+            rows.append([t] + list(T[t]) + [meta["outcome_names"][j],
                         float(x.mean()), float(x.std(ddof=1)) if len(x) > 1 else 0.0]
                         + [float(v) for v in qs])
     write_csv(out_path, header, rows)

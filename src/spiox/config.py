@@ -243,9 +243,5 @@ def parse_config(text):
 
 
 def load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise e
-    return parse_config(text)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read())

@@ -14,7 +14,6 @@ import os
 import numpy as np
 
 from .errors import ValidationError
-from .geom import LocationSet
 
 
 def fmt(x):
@@ -102,10 +101,12 @@ def read_mixed(path):
 
 
 def read_dataset(path, require_complete=True):
-    """Parse a dataset CSV into (LocationSet, Y, X, outcome_names).
+    """Parse a dataset CSV into (coords, Y, X, outcome_names).
 
-    Y keeps NaN for empty outcome cells; require_complete rejects them with
-    the offending row index (fit-time contract).
+    coords is the (N, d) array of finite site coordinates; rows may repeat
+    (a reference set is checked for duplicates when it becomes a
+    LocationSet). Y keeps NaN for empty outcome cells; require_complete
+    rejects them with the offending row index (fit-time contract).
     """
     header, M = read_table(path)
     d = 0
@@ -134,7 +135,7 @@ def read_dataset(path, require_complete=True):
         bad = int(np.argwhere(np.isnan(X).any(axis=1))[0, 0])
         raise ValidationError(f"{path}: missing predictor at data row {bad}")
     names = [header[i] for i in y_cols]
-    return LocationSet(coords), Y, X, names
+    return coords, Y, X, names
 
 
 def write_dataset(path, coords, Y, X=None, outcome_names=None):

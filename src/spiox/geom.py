@@ -122,24 +122,6 @@ class NeighborDag:
             if len(par) and (par.max() >= k or par.min() < 0):
                 raise ValidationError(f"parent of node {k} does not precede it")
 
-    def children(self):
-        """List of child-position arrays, one per position."""
-        kids = [[] for _ in range(self.n)]
-        for k, par in enumerate(self.parents):
-            for p in par:
-                kids[p].append(k)
-        return [np.array(c, dtype=int) for c in kids]
-
-    def markov_blanket(self, pos):
-        """Parents, children, and co-parents of the node at ``pos`` (position space)."""
-        blanket = set(self.parents[pos].tolist())
-        for k in range(pos + 1, self.n):
-            if pos in self.parents[k]:
-                blanket.add(k)
-                blanket.update(self.parents[k].tolist())
-        blanket.discard(pos)
-        return np.array(sorted(blanket), dtype=int)
-
 
 def build_nn_dag(S, m, scheme="random", seed=0):
     """Build the nearest-neighbor DAG: node k is parented by its min(k, m)

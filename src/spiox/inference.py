@@ -27,6 +27,7 @@ from .errors import NumericalError, ValidationError
 from .ioxcore import (IoxModel, conditional_loglik, loglik, whiten_columns,
                       zero_distance_cross_corr)
 from .kernels import KernelParams
+from .vecchia import jittered_cholesky
 
 # the LAPACK routines behind sla.cho_solve and sla.solve_triangular, called
 # directly (with the arguments the wrappers would pass) in the small solves of
@@ -161,15 +162,7 @@ def _beta_prior_vecs(priors, p, q):
 
 
 def _draw_gaussian_from_precision(P, rhs, rng):
-    jitter = 0.0
-    for attempt in range(4):
-        try:
-            R = np.linalg.cholesky(P + jitter * np.eye(P.shape[0]))
-            break
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * 10 ** attempt
-    else:
-        raise NumericalError("posterior precision for beta is not SPD after jitter")
+    R = jittered_cholesky(P, "posterior precision for beta is not SPD after jitter")
     mean = _potrs(R, rhs, lower=1)[0]
     z = rng.standard_normal(P.shape[0])
     return mean + _trtrs(R.T, z, lower=0)[0]
@@ -320,14 +313,6 @@ class JointAdaptive:
                 self._chol = None
 
 
-def _install(model, comps, thetas, factors):
-    """Point components comps at the given kernel params and factors; the
-    reject path of every theta update restores the previous ones with it."""
-    for c, p, f in zip(comps, thetas, factors):
-        model.theta[c] = p
-        model.factors[c] = f
-
-
 def _accept_prob(logr):
     return min(1.0, math.exp(min(logr, 0.0)))
 
@@ -357,8 +342,8 @@ def _update_theta_componentwise(c, cols, target, state, model, priors, rng, scal
         val_old = target(G, state.V)
         old_factor = model.factors[c]
         try:
-            f = model._build_factor(prop, c)
-            _install(model, [c], [prop], [f])
+            f = model._build_factor(prop)
+            model.set_theta(c, prop, f)
             V_try = state.V.copy()
             for j in cols:
                 V_try[:, j] = f.whiten(G[:, j])
@@ -370,7 +355,7 @@ def _update_theta_componentwise(c, cols, target, state, model, priors, rng, scal
             state.V = V_try
             accepted += 1
         else:
-            _install(model, [c], [cur], [old_factor])
+            model.set_theta(c, cur, old_factor)
         scales.step(idx, alpha)
     return accepted
 
@@ -431,11 +416,11 @@ def update_theta_joint(state, data, model, priors, rng, scale=None,
     old_factors = [model.factors[c] for c in comps]
     try:
         if pool is not None:
-            new_factors = list(pool.map(model._build_factor, prop, comps))
+            new_factors = list(pool.map(model._build_factor, prop))
         else:
-            new_factors = [model._build_factor(p, c)
-                           for p, c in zip(prop, comps)]
-        _install(model, comps, prop, new_factors)
+            new_factors = [model._build_factor(p) for p in prop]
+        for c, p, f in zip(comps, prop, new_factors):
+            model.set_theta(c, p, f)
         V_new = whiten_columns(G, model)
         alpha = _accept_prob(loglik(G, model, V_new) - ll_old + lp_new - lp_old)
         ok = rng.random() < alpha
@@ -445,7 +430,8 @@ def update_theta_joint(state, data, model, priors, rng, scale=None,
         state.V = V_new
         scale.update(alpha, x_prop)
     else:
-        _install(model, comps, cur, old_factors)
+        for c, p, f in zip(comps, cur, old_factors):
+            model.set_theta(c, p, f)
         scale.update(alpha, x)
     return ok, model.theta
 
@@ -503,30 +489,6 @@ def pcg_solve(matvec, b, diag, tol=1e-8, maxiter=None):
     return x
 
 
-def _factor_col_sq(factor):
-    """Column sums of squares of the factor in original indexing (diag of
-    rho(S)^{-1}), cached on the factor object."""
-    cs = getattr(factor, "_col_sq", None)
-    if cs is None:
-        if factor.is_sparse:
-            cpos = np.asarray(factor.csc.multiply(factor.csc).sum(axis=0)).ravel()
-            cs = np.empty_like(cpos)
-            cs[factor.order] = cpos
-        else:
-            cs = (factor.Linv ** 2).sum(axis=0)
-        factor._col_sq = cs
-    return cs
-
-
-def _mult_gamma_t(factor, s):
-    """L^{-T} s in original indexing."""
-    if factor.is_sparse:
-        out = np.empty_like(s)
-        out[factor.order] = factor.gamma_t @ s[factor.order]
-        return out
-    return factor.Linv.T @ s
-
-
 def update_w_single_outcome(j, state, data, model, rng, tol=1e-8, maxiter=None):
     """Draw the full latent column w_j from its Gaussian full conditional with
     precision Q_jj rho_j(S)^{-1} + I_n / delta_jj.
@@ -541,16 +503,16 @@ def update_w_single_outcome(j, state, data, model, rng, tol=1e-8, maxiter=None):
     delta = state.Delta[j]
     n = data.n
     s = state.V @ Q[:, j] - qjj * state.V[:, j]
-    b_prior = -_mult_gamma_t(f, s)
+    b_prior = -f.whiten_t(s)
     yc = data.Y[:, j] - data.X @ state.B[:, j]
     rhs = b_prior + yc / delta
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    perturb = math.sqrt(qjj) * _mult_gamma_t(f, z1) + z2 / math.sqrt(delta)
-    if f.is_sparse:
+    perturb = math.sqrt(qjj) * f.whiten_t(z1) + z2 / math.sqrt(delta)
+    if model.is_vecchia:
         def matvec(x):
-            return qjj * _mult_gamma_t(f, f.whiten(x)) + x / delta
-        diag = qjj * _factor_col_sq(f) + 1.0 / delta
+            return qjj * f.whiten_t(f.whiten(x)) + x / delta
+        diag = qjj * f.col_sq + 1.0 / delta
         w_j = pcg_solve(matvec, rhs + perturb, diag, tol=tol, maxiter=maxiter)
     else:
         A = qjj * (f.Linv.T @ f.Linv) + np.eye(n) / delta
@@ -561,11 +523,12 @@ def update_w_single_outcome(j, state, data, model, rng, tol=1e-8, maxiter=None):
 
 
 class SiteSweep:
-    """Precomputed structure for single-site latent updates on a shared DAG.
+    """Precomputed structure for single-site latent updates.
 
-    All per-outcome factors built from one workspace share a sparsity pattern,
-    so the support of column i (node i and its children) is computed once; per
-    iteration only the numeric column values are re-gathered.
+    Every factor of a model comes from its one workspace and shares one
+    sparsity pattern, so the support of column i (node i and its children) is
+    computed once; per iteration only the numeric column values are
+    re-gathered.
     """
 
     def __init__(self, model):
@@ -581,14 +544,8 @@ class SiteSweep:
 
     def refresh(self, model):
         """Re-gather column values after any factor rebuild."""
-        q = model.q
-        cols = []
-        for j in range(q):
-            f = model.factor_for(j)
-            if (f.csc.indptr != self.indptr).any():
-                raise ValidationError("single-site updates need one shared DAG")
-            cols.append(f.csc.data)
-        self.coldata = np.vstack(cols)  # (q, nnz) csc-ordered
+        # (q, nnz) csc-ordered
+        self.coldata = np.vstack([model.factor_for(j).csc.data for j in range(model.q)])
         self.mmt = []
         for i in range(self.n):
             sl = slice(self.indptr[i], self.indptr[i + 1])

@@ -100,21 +100,21 @@ class IoxModel:
         Symmetric positive definite cross-outcome covariance.
     m : int
         Vecchia neighbor count; 0 selects the exact dense path.
-    dag : NeighborDag or list of NeighborDag, optional
-        Explicit Vecchia structure; a list gives each theta component its own
-        conditioning sets (the orderings must agree so whitened columns stay
-        row-aligned across outcomes).
     assignments : array of int, optional
         Outcome -> component map for the clustered variants; defaults to the
         identity (requires len(theta) == q).
+    order_scheme, order_seed :
+        Ordering of S for the neighbour DAG (see :func:`~spiox.geom.order_locations`).
 
-    The DAG, the workspaces and each component's factor are built on first
-    use, so prediction on the Vecchia path, which reads only the kernel
-    parameters, builds none of them.
+    On the Vecchia path one nearest-neighbour DAG over S, built from m and
+    the ordering, and its one workspace build every component's factor, so
+    whitened columns of all outcomes are row-aligned. The DAG, the workspace
+    and each component's factor are built on first use, so prediction on the
+    Vecchia path, which reads only the kernel parameters, builds none of them.
     """
 
-    def __init__(self, S, theta, Sigma, m=0, dag=None, assignments=None,
-                 dense_cap=4000, order_scheme="random", order_seed=0):
+    def __init__(self, S, theta, Sigma, m=0, assignments=None,
+                 order_scheme="random", order_seed=0):
         self.S = S
         self.theta = list(theta)
         Sigma = np.asarray(Sigma, dtype=float)
@@ -127,48 +127,26 @@ class IoxModel:
         if self.assignments.shape != (q,) or self.assignments.min() < 0 \
                 or self.assignments.max() >= len(self.theta):
             raise ValidationError("assignments must map outcomes into theta components")
-        self.dense_cap = dense_cap
         self.order_scheme, self.order_seed = order_scheme, order_seed
-        if isinstance(dag, (list, tuple)):
-            if len(dag) != len(self.theta):
-                raise ValidationError("need one DAG per theta component")
-            for d in dag[1:]:
-                if not np.array_equal(d.order, dag[0].order):
-                    raise ValidationError(
-                        "component DAGs must share one ordering of S")
-            self.m = max(d.m for d in dag)
-        elif dag is not None:
-            self.m = dag.m
-        else:
-            self.m = int(m)
-            if self.m < 0:
-                raise ValidationError("m must be >= 0")
-        self._dag_arg = dag
-        self.is_vecchia = dag is not None or self.m > 0
+        self.m = int(m)
+        if self.m < 0:
+            raise ValidationError("m must be >= 0")
+        self.is_vecchia = self.m > 0
         self._factors = [None] * len(self.theta)
         self._set_sigma(Sigma)
         self._pred_cache = {}
 
     @cached_property
     def dag(self):
-        """The nearest-neighbour DAG over S (the first component's when each
-        has its own), or None on the exact path."""
+        """The nearest-neighbour DAG over S, or None on the exact path."""
         if not self.is_vecchia:
             return None
-        if self._dag_arg is None:
-            return build_nn_dag(self.S, self.m, self.order_scheme, self.order_seed)
-        return self._dag_arg[0] if isinstance(self._dag_arg, (list, tuple)) \
-            else self._dag_arg
+        return build_nn_dag(self.S, self.m, self.order_scheme, self.order_seed)
 
     @cached_property
-    def workspaces(self):
-        """One VecchiaWorkspace per component (shared when the DAG is), or
-        None on the exact path."""
-        if not self.is_vecchia:
-            return None
-        if isinstance(self._dag_arg, (list, tuple)):
-            return [VecchiaWorkspace(d) for d in self._dag_arg]
-        return [VecchiaWorkspace(self.dag)] * len(self.theta)
+    def workspace(self):
+        """The VecchiaWorkspace of the DAG, or None on the exact path."""
+        return VecchiaWorkspace(self.dag) if self.is_vecchia else None
 
     @cached_property
     def coincidence_table(self):
@@ -180,10 +158,11 @@ class IoxModel:
 
     # -- parameter updates -------------------------------------------------
 
-    def _build_factor(self, p, c=0):
+    def _build_factor(self, p):
+        """The factor of kernel params p over S (not installed)."""
         if self.is_vecchia:
-            return self.workspaces[c].build(p)
-        return dense_chol_factor(self.S, p, cap=self.dense_cap)
+            return self.workspace.build(p)
+        return dense_chol_factor(self.S, p)
 
     def _set_sigma(self, Sigma):
         # np.allclose(Sigma, Sigma.T, atol=1e-10) for finite entries, cheaper
@@ -201,23 +180,22 @@ class IoxModel:
     def set_sigma(self, Sigma):
         self._set_sigma(np.asarray(Sigma, dtype=float))
 
-    def set_theta(self, c, p):
-        """Replace component c's kernel params; its factor is rebuilt on next use."""
+    def set_theta(self, c, p, factor=None):
+        """Replace component c's kernel params. ``factor`` is its factor under
+        p when the caller built it (``_build_factor``); otherwise the factor is
+        rebuilt on next use."""
         self.theta[c] = p
-        self._factors[c] = None
+        self._factors[c] = factor
 
     @property
     def factors(self):
-        """The per-component factors, each built on first use. Entries may be
-        assigned (the sampler installs factors it built itself)."""
-        for c in range(len(self.theta)):
-            self._factor(c)
-        return self._factors
+        """The per-component factors, each built on first use."""
+        return tuple(self._factor(c) for c in range(len(self.theta)))
 
     def _factor(self, c):
         f = self._factors[c]
         if f is None:
-            f = self._factors[c] = self._build_factor(self.theta[c], c)
+            f = self._factors[c] = self._build_factor(self.theta[c])
         return f
 
     # -- accessors ----------------------------------------------------------
@@ -470,24 +448,12 @@ def conditional_loglik(j, V, model):
     return val
 
 
-def _l_rows_dense(model):
-    """Dense L rows per component (DAG space on the Vecchia path)."""
-    Ls = []
-    for c in range(model.k):
-        f = model.factors[c]
-        if f.is_sparse:
-            Ls.append(sla.solve_triangular(f.gamma.toarray(), np.eye(model.n), lower=True))
-        else:
-            Ls.append(f.L)
-    return Ls
-
-
 def _pair_trace(model, probes=0, rng=None):
     """G[c1, c2] = Tr(L_c1 L_c2^T) / n per component pair, exact or probed."""
     k, n = model.k, model.n
     G = np.empty((k, k))
     if probes <= 0:
-        Ls = _l_rows_dense(model)
+        Ls = [f.dense_l() for f in model.factors]
         for a in range(k):
             for b in range(a, k):
                 G[a, b] = G[b, a] = float(np.sum(Ls[a] * Ls[b])) / n

@@ -10,6 +10,10 @@ factor equals the inverse of the dense lower Cholesky factor of rho(S).
 Rows live in DAG-order space; whiten/unwhiten accept and return vectors in
 the original location indexing so that per-outcome factors built over the
 same set always align row-wise.
+
+The sparse factor and the dense factor of the exact path share one interface
+(whiten, unwhiten, whiten_t, col_sq, dense_l, sum_log_diag), so callers never
+need to know how a factor is stored.
 """
 
 from functools import cached_property
@@ -25,10 +29,20 @@ JITTER0 = 1e-10
 JITTER_TRIES = 3
 
 
+def jittered_cholesky(A, message):
+    """Lower Cholesky factor of A, retried with JITTER0, 10 JITTER0, 100 JITTER0
+    added to the diagonal; NumericalError(message) when every try fails."""
+    jitter = 0.0
+    for attempt in range(JITTER_TRIES + 1):
+        try:
+            return np.linalg.cholesky(A + jitter * np.eye(A.shape[0]))
+        except np.linalg.LinAlgError:
+            jitter = JITTER0 * 10 ** attempt
+    raise NumericalError(message)
+
+
 class SparseInvChol:
     """Sparse lower-triangular factor G = L^{-1} of a Vecchia process at S."""
-
-    is_sparse = True
 
     def __init__(self, dag, gamma, diag, params):
         self.dag = dag
@@ -55,10 +69,24 @@ class SparseInvChol:
         """G^T, a csc view of the csr factor."""
         return self.gamma.T
 
+    @cached_property
+    def col_sq(self):
+        """Column sums of squares of G in original indexing: diag of rho(S)^{-1}."""
+        cpos = np.asarray(self.csc.multiply(self.csc).sum(axis=0)).ravel()
+        out = np.empty_like(cpos)
+        out[self.order] = cpos
+        return out
+
     def whiten(self, y):
         y = np.asarray(y, dtype=float)
         out = np.empty_like(y)
         out[self.order] = self.gamma @ y[self.order]
+        return out
+
+    def whiten_t(self, s):
+        """L^{-T} s = G^T s in original indexing."""
+        out = np.empty_like(s)
+        out[self.order] = self.gamma_t @ s[self.order]
         return out
 
     def unwhiten(self, v):
@@ -78,6 +106,10 @@ class SparseInvChol:
     def sum_log_diag(self):
         return float(np.log(self.diag).sum())
 
+    def dense_l(self):
+        """Dense L = G^{-1} in DAG order (rows and columns), built on each call."""
+        return sla.solve_triangular(self.gamma.toarray(), np.eye(self.n), lower=True)
+
     def dense_gamma_original(self):
         """G mapped back to original indexing (dense, for validation only)."""
         A = self.gamma.toarray()
@@ -88,8 +120,6 @@ class SparseInvChol:
 
 class DenseChol:
     """Dense lower Cholesky factor of rho(S) and its inverse (exact path)."""
-
-    is_sparse = False
 
     def __init__(self, L, Linv, params):
         self.L = L
@@ -106,6 +136,18 @@ class DenseChol:
     def unwhiten(self, v):
         return self.L @ np.asarray(v, dtype=float)
 
+    def whiten_t(self, s):
+        """L^{-T} s."""
+        return self.Linv.T @ s
+
+    @cached_property
+    def col_sq(self):
+        """Column sums of squares of L^{-1}: diag of rho(S)^{-1}."""
+        return (self.Linv ** 2).sum(axis=0)
+
+    def dense_l(self):
+        return self.L
+
     def sum_log_diag(self):
         return float(np.log(np.diag(self.Linv)).sum())
 
@@ -118,16 +160,8 @@ def dense_chol_factor(S, p, cap=4000):
     """
     if S.n > cap:
         raise ValidationError(f"dense path limited to n <= {cap}, got n = {S.n}")
-    R = corr_matrix(S, S, p)
-    jitter = 0.0
-    for attempt in range(JITTER_TRIES + 1):
-        try:
-            L = np.linalg.cholesky(R + jitter * np.eye(S.n))
-            break
-        except np.linalg.LinAlgError:
-            jitter = JITTER0 * 10 ** attempt
-    else:
-        raise NumericalError("dense Cholesky failed after jitter retries")
+    L = jittered_cholesky(corr_matrix(S, S, p),
+                          "dense Cholesky failed after jitter retries")
     Linv = sla.solve_triangular(L, np.eye(S.n), lower=True)
     return DenseChol(L, Linv, p)
 
@@ -147,31 +181,29 @@ class VecchiaWorkspace:
         self.dag = dag
         coords = dag.S.coords[dag.order]
         n = dag.n
-        kmax = max((len(par) for par in dag.parents), default=0)
-        self.kmax = kmax
-        counts = np.array([len(dag.parents[pos]) + 1 for pos in range(n)])
-        indptr = np.concatenate([[0], np.cumsum(counts)])
+        # row pos of the factor: its parents, then pos itself
+        kvec = np.fromiter(map(len, dag.parents), dtype=np.int64, count=n)
+        flat = np.concatenate(dag.parents)
+        kmax = int(kvec.max(initial=0))
+        self.kmax, self.kvec = kmax, kvec
+        indptr = np.concatenate([[0], np.cumsum(kvec + 1)])
         nnz = int(indptr[-1])
+        self_slot = indptr[1:] - 1
+        is_par = np.ones(nnz, dtype=bool)
+        is_par[self_slot] = False
+        par_slot = np.flatnonzero(is_par)
         indices = np.empty(nnz, dtype=np.int32)
-        for pos in range(n):
-            s = indptr[pos]
-            kpar = len(dag.parents[pos])
-            indices[s:s + kpar] = dag.parents[pos]
-            indices[s + kpar] = pos
+        indices[self_slot] = np.arange(n)
+        indices[par_slot] = flat
         self.indptr = indptr
         self.indices = indices
 
-        # padded parent array; pad slots point at the node itself (distance 0
-        # never queried: their gather entries route to the appended zero)
-        par = np.full((n, kmax), -1, dtype=np.int64)
-        kvec = np.empty(n, dtype=np.int64)
-        for pos in range(n):
-            kp = len(dag.parents[pos])
-            kvec[pos] = kp
-            par[pos, :kp] = dag.parents[pos]
-        self.kvec = kvec
+        # padded parent array; pad slots hold 0 (their gather entries route
+        # to the appended zero, so their distances are never read)
         pmask = np.arange(kmax)[None, :] < kvec[:, None]          # (n, kmax)
-        C = coords[np.where(par >= 0, par, 0)]                    # (n, kmax, d)
+        par = np.zeros((n, kmax), dtype=np.int64)
+        par[pmask] = flat
+        C = coords[par]                                           # (n, kmax, d)
         Dpp = np.sqrt(((C[:, :, None, :] - C[:, None, :, :]) ** 2).sum(-1))
         Dps = np.sqrt(((C - coords[:, None, :]) ** 2).sum(-1))
 
@@ -189,11 +221,9 @@ class VecchiaWorkspace:
 
         # scatter map for -h/sqrt(r): pad slots write to a scratch tail cell
         dest = np.full((n, kmax), nnz, dtype=np.int64)
-        cols = np.arange(kmax)[None, :]
-        real = cols < kvec[:, None]
-        dest[real] = (indptr[:-1, None] + cols)[real]
+        dest[pmask] = par_slot
         self.dest_par = dest
-        self.dest_self = indptr[:-1] + kvec
+        self.dest_self = self_slot
 
     def build(self, p):
         """Assemble the factor for kernel params ``p``."""

@@ -53,8 +53,8 @@ def sim_file(tmp_path):
 
 class TestSimulate:
     def test_writes_dataset_and_truth(self, sim_file, tmp_path):
-        S, Y, X, names = read_dataset(sim_file)
-        assert S.n == 60 and Y.shape == (60, 3) and X is None
+        coords, Y, X, names = read_dataset(sim_file)
+        assert coords.shape[0] == 60 and Y.shape == (60, 3) and X is None
         assert names == ["y_1", "y_2", "y_3"]
         truth = json.loads((str(sim_file) + ".truth.json",))[0] if False else \
             json.load(open(str(sim_file) + ".truth.json"))
@@ -67,8 +67,8 @@ class TestSimulate:
                    "sim.nu = 1\nsim.tau2 = 0\n")
         out = tmp_path / "one.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        S, Y, _, _ = read_dataset(out)
-        assert S.n == 1 and Y.shape == (1, 2)
+        coords, Y, _, _ = read_dataset(out)
+        assert coords.shape[0] == 1 and Y.shape == (1, 2)
 
     def test_same_seed_identical_files(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -157,10 +157,10 @@ def fitted(sim_file, tmp_path):
 
 class TestPredict:
     def test_duplicate_training_site_sd_zero(self, sim_file, fitted, tmp_path):
-        S, Y, _, names = read_dataset(sim_file)
+        coords, Y, _, names = read_dataset(sim_file)
         test = tmp_path / "test.csv"
         write(test, "coord_1,coord_2,y_1,y_2,y_3\n"
-                    f"{S.coords[7,0]:.17g},{S.coords[7,1]:.17g},,,\n")
+                    f"{coords[7,0]:.17g},{coords[7,1]:.17g},,,\n")
         out = tmp_path / "pred.csv"
         rc = main(["predict", "--chain", str(fitted), "--data", str(sim_file),
                    "--test", str(test), "--out", str(out),
@@ -174,7 +174,7 @@ class TestPredict:
         assert max(abs(r[mean_col] - Y[7][i]) for i, r in enumerate(rows)) <= 1e-10
 
     def test_partial_prediction_rows(self, sim_file, fitted, tmp_path):
-        S, Y, _, _ = read_dataset(sim_file)
+        coords, Y, _, _ = read_dataset(sim_file)
         test = tmp_path / "partial.csv"
         write(test, "coord_1,coord_2,y_1,y_2,y_3\n"
                     "0.41,0.13,0.5,,-0.2\n0.9,0.9,,,\n")
@@ -204,9 +204,9 @@ class TestPredict:
         assert all(r[sd_col] > 0 for r in rows)
 
     def test_hash_mismatch_rejected(self, sim_file, fitted, tmp_path):
-        S, Y, _, names = read_dataset(sim_file)
+        coords, Y, _, names = read_dataset(sim_file)
         other = tmp_path / "other.csv"
-        write_dataset(other, S.coords + 0.001, Y, outcome_names=names)
+        write_dataset(other, coords + 0.001, Y, outcome_names=names)
         test = tmp_path / "t.csv"
         write(test, "coord_1,coord_2,y_1,y_2,y_3\n0.5,0.5,,,\n")
         rc = main(["predict", "--chain", str(fitted), "--data", str(other),
@@ -217,9 +217,9 @@ class TestPredict:
     def test_cokriging_next_to_reference_site(self, sim_file, tmp_path):
         # nugget-free, nu = 2.5 kernels make r_j(t) underflow 1e-12 at 1e-7
         # from a reference site; the site is not on S, so it is co-kriged
-        S, Y, _, names = read_dataset(sim_file)
-        chain = constructed_chain(tmp_path / "chain", S.coords, names, nu=2.5, tau2=0.0)
-        t = S.coords[7] + 1e-7
+        coords, Y, _, names = read_dataset(sim_file)
+        chain = constructed_chain(tmp_path / "chain", coords, names, nu=2.5, tau2=0.0)
+        t = coords[7] + 1e-7
         test = tmp_path / "near.csv"
         write(test, "coord_1,coord_2,y_1,y_2,y_3\n"
                     f"{t[0]:.17g},{t[1]:.17g},{Y[7, 0]:.17g},,\n")
@@ -249,6 +249,29 @@ class TestPredict:
             np.testing.assert_allclose([r[header.index("mean")] for r in rows],
                                        Y[4, 1:], rtol=1e-12)
             assert all(r[header.index("sd")] <= 1e-12 for r in rows)
+
+    def test_repeated_test_sites(self, tmp_path):
+        # two co-kriging requests at one site, and -0.0,0.5 next to 0.0,0.5
+        rng = np.random.default_rng(8)
+        coords = rng.uniform(0.0, 1.0, size=(30, 2))
+        coords[4] = [0.0, 0.5]
+        Y = rng.standard_normal((30, 3))
+        data = tmp_path / "data.csv"
+        write_dataset(data, coords, Y)
+        chain = constructed_chain(tmp_path / "chain", coords, ["y_1", "y_2", "y_3"],
+                                  nu=0.8, tau2=1e-3)
+        write(tmp_path / "t.csv", "coord_1,coord_2,y_1,y_2,y_3\n"
+                                  "0.3,0.6,1.5,,\n0.3,0.6,-1.5,,\n0.3,0.6,,,\n"
+                                  "-0.0,0.5,0.1,,\n0.0,0.5,0.1,,\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--chain", str(chain), "--data", str(data),
+                     "--test", str(tmp_path / "t.csv"), "--out", str(out)]) == 0
+        header, rows = read_mixed(out)
+        assert [r[0] for r in rows] == [0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 4]
+        mean = np.array([r[header.index("mean")] for r in rows])
+        assert np.all(np.abs(mean[0:2] - mean[2:4]) > 1e-6)
+        np.testing.assert_allclose(mean[7:9], Y[4, 1:], rtol=1e-12)
+        np.testing.assert_allclose(mean[9:11], Y[4, 1:], rtol=1e-12)
 
     @pytest.mark.parametrize("option, value", [
         ("--max-draws", "-1"), ("--quantiles", "abc"), ("--quantiles", "2"),

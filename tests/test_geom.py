@@ -119,22 +119,6 @@ class TestNnDag:
         dag = build_nn_dag(rand_locations(5), 0)
         assert all(len(p) == 0 for p in dag.parents)
 
-    def test_markov_blanket_saturated(self):
-        S = rand_locations(8, seed=6)
-        dag = build_nn_dag(S, 7, "coordinate-sum")
-        for i in range(8):
-            mb = dag.markov_blanket(i)
-            assert sorted(mb.tolist()) == sorted(set(range(8)) - {i})
-
-    def test_markov_blanket_contains_parents_children(self):
-        S = rand_locations(25, seed=8)
-        dag = build_nn_dag(S, 4, "random", seed=0)
-        kids = dag.children()
-        for i in range(25):
-            mb = set(dag.markov_blanket(i).tolist())
-            assert set(dag.parents[i].tolist()) <= mb
-            assert set(kids[i].tolist()) <= mb
-
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 25), m=st.integers(0, 24), seed=st.integers(0, 10_000))

@@ -32,6 +32,8 @@ CASES = {
     "grid": {"theta_mode": "grid", "grid_nu_values": [0.5, 1.5]},
     "latent_outcome": {"model": "latent", "w_update": "outcome"},
     "latent_site": {"model": "latent", "w_update": "site"},
+    "dense_joint": {"vecchia_m": 0},
+    "dense_latent_outcome": {"vecchia_m": 0, "model": "latent", "w_update": "outcome"},
 }
 
 

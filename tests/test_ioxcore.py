@@ -353,30 +353,3 @@ class TestOutcomeMatrix:
     def test_row_mismatch(self):
         with pytest.raises(ValidationError):
             OutcomeMatrix(np.ones((4, 2)), X=np.ones((3, 1)))
-
-
-class TestPerOutcomeDags:
-    def test_component_specific_conditioning_sets(self):
-        from spiox.geom import build_nn_dag
-        S = rand_locations(25, seed=40)
-        order = np.arange(25)
-        dags = [build_nn_dag(S, 4, order), build_nn_dag(S, 24, order)]
-        thetas = [KernelParams(10.0, 0.8, 0.0), KernelParams(14.0, 1.3, 0.0)]
-        Sigma = rand_spd(2, seed=41)
-        model = IoxModel(S, thetas, Sigma, dag=dags)
-        # outcome 2 uses the saturated DAG: its factor is exact
-        R1 = np.linalg.inv(np.linalg.cholesky(
-            __import__("spiox.kernels", fromlist=["corr_matrix"]).corr_matrix(S, S, thetas[1])))
-        assert np.abs(model.factors[1].gamma.toarray() - R1).max() <= 1e-8
-        # sparsity differs per component
-        assert model.factors[0].nnz < model.factors[1].nnz
-        Y = np.random.default_rng(42).standard_normal((25, 2))
-        assert np.isfinite(loglik(Y, model))
-
-    def test_mismatched_orderings_rejected(self):
-        from spiox.geom import build_nn_dag
-        S = rand_locations(12, seed=43)
-        d1 = build_nn_dag(S, 3, np.arange(12))
-        d2 = build_nn_dag(S, 3, "random", seed=5)
-        with pytest.raises(ValidationError, match="ordering"):
-            IoxModel(S, [KernelParams(9.0, 1.0, 0.0)] * 2, np.eye(2), dag=[d1, d2])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spiox.errors import NumericalError, ValidationError
-from spiox.geom import LocationSet, build_nn_dag
+from spiox.geom import LocationSet, NeighborDag, build_nn_dag
 from spiox.kernels import KernelParams, corr_matrix, matern
 from spiox.vecchia import VecchiaWorkspace, build_sparse_inv_chol, dense_chol_factor
 
@@ -161,6 +161,24 @@ class TestSolves:
         for pos in (3, 11, 29):
             assert np.abs(A[pos] - standalone_row(dag, p, pos)).max() <= 1e-10
 
+    def test_irregular_parent_sets(self):
+        # parent sets of uneven sizes, not nearest neighbours: the workspace's
+        # sparsity pattern and every row follow the DAG row by row
+        S = rand_locations(25, seed=23)
+        rng = np.random.default_rng(9)
+        parents = [np.sort(rng.choice(k, size=min(k, rng.integers(0, 5)), replace=False))
+                   for k in range(25)]
+        dag = NeighborDag(S, rng.permutation(25), parents, 4)
+        ws = VecchiaWorkspace(dag)
+        G = ws.build(KernelParams(6.0, 1.3, 0.01))
+        A = G.gamma.toarray()
+        for pos, par in enumerate(parents):
+            row = ws.indices[ws.indptr[pos]:ws.indptr[pos + 1]]
+            assert row.tolist() == par.tolist() + [pos]
+            if par.size:
+                assert np.abs(A[pos] - standalone_row(dag, G.params, pos)).max() <= 1e-10
+        assert {p.size for p in parents} == {0, 1, 2, 3, 4}
+
     def test_transpose_solve(self):
         S = rand_locations(18, seed=13)
         G = build_sparse_inv_chol(build_nn_dag(S, 4, "random", seed=5), S,
@@ -239,3 +257,42 @@ def test_singularity_error_names_row():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NumericalError, match="location 3"):
         ws._retry_row(bad, np.array([2.0, 2.0]), 1.0, 3)
+
+
+class TestFactorInterface:
+    """whiten_t, col_sq and dense_l of both storage formats against dense
+    oracles on one set and ordering (a saturated DAG is the exact process)."""
+
+    def setup_method(self):
+        self.S = rand_locations(30, seed=21)
+        self.p = KernelParams(8.0, 1.0, 0.05)
+        self.dag = build_nn_dag(self.S, self.S.n - 1, "random", seed=3)
+        self.R = corr_matrix(self.S, self.S, self.p)
+        self.factors = {"sparse": VecchiaWorkspace(self.dag).build(self.p),
+                        "dense": dense_chol_factor(self.S, self.p)}
+
+    def oracle_l(self, kind):
+        """Lower Cholesky factor of rho(S), in the DAG's order for the sparse
+        factor."""
+        o = self.dag.order if kind == "sparse" else np.arange(self.S.n)
+        return np.linalg.cholesky(self.R[np.ix_(o, o)]), o
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_whiten_t(self, kind):
+        L, o = self.oracle_l(kind)
+        s = np.random.default_rng(5).standard_normal(self.S.n)
+        want = np.empty_like(s)
+        want[o] = np.linalg.solve(L.T, s[o])
+        got = self.factors[kind].whiten_t(s)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_col_sq_is_diag_of_inverse(self, kind):
+        want = np.diag(np.linalg.inv(self.R))
+        got = self.factors[kind].col_sq
+        assert np.abs(got - want).max() <= 1e-10 * want.max()
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_dense_l(self, kind):
+        L, _ = self.oracle_l(kind)
+        assert np.abs(self.factors[kind].dense_l() - L).max() <= 1e-10
