@@ -26,7 +26,7 @@ import scipy.linalg as sla
 from .errors import NumericalError, ValidationError
 from .ioxcore import (IoxModel, conditional_loglik, loglik, whiten_columns,
                       zero_distance_cross_corr)
-from .kernels import KernelParams
+from .kernels import NU_MAX, KernelParams
 from .vecchia import jittered_cholesky
 
 # the LAPACK routines behind sla.cho_solve and sla.solve_triangular, called
@@ -68,6 +68,8 @@ class Priors:
             lo, hi = getattr(self, name)
             if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0 or hi < lo:
                 raise ValidationError(f"bad {name}: ({lo}, {hi})")
+        if self.nu_bounds[1] > NU_MAX:
+            raise ValidationError(f"nu_bounds must stay <= {NU_MAX}, got {self.nu_bounds}")
         return self
 
 

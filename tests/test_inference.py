@@ -547,6 +547,8 @@ class TestPriors:
             Priors(delta_a=0.0).validate(2)
         with pytest.raises(ValidationError):
             Priors(phi_bounds=(2.0, 1.0)).validate(2)
+        with pytest.raises(ValidationError):
+            Priors(nu_bounds=(0.25, 40.0)).validate(2)
 
     def test_domain_scaled_phi(self):
         S = rand_locations(20, seed=34)
