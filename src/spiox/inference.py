@@ -10,8 +10,9 @@ beta and Sigma have conjugate Gaussian / inverse-Wishart full conditionals;
 kernel parameters move by adaptive random-walk Metropolis (componentwise
 blocks or one joint proposal); the latent field w is updated either one
 outcome column at a time (sparse precision solves) or one site at a time
-(q x q full conditionals read off the sparse factors); cluster assignments
-get sequential discrete Gibbs draws.
+(q x q full conditionals read off the sparse factors, drawn for a whole colour
+class of conditionally independent sites at once); cluster assignments get
+sequential discrete Gibbs draws.
 """
 
 import math
@@ -22,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import NumericalError, ValidationError
 from .ioxcore import (IoxModel, conditional_loglik, loglik, whiten_columns,
@@ -524,35 +526,84 @@ def update_w_single_outcome(j, state, data, model, rng, tol=1e-8, maxiter=None):
     return w_j
 
 
+def _site_class(indptr, indices, sites):
+    """Gather arrays of a set of DAG positions: (sites, slots, rows, owners,
+    starts). ``slots`` lists the csc entries of the sites' columns one site
+    after another, ``rows`` their support rows, ``owners`` the index in
+    ``sites`` of each slot, and ``starts`` the first slot of each site (the
+    np.add.reduceat offsets; every column holds at least its own row)."""
+    lens = indptr[sites + 1] - indptr[sites]
+    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    slots = np.arange(int(lens.sum())) + np.repeat(indptr[sites] - starts, lens)
+    owners = np.repeat(np.arange(len(sites)), lens)
+    return sites, slots, indices[slots], owners, starts
+
+
 class SiteSweep:
-    """Precomputed structure for single-site latent updates.
+    """Precomputed structure for chromatic single-site latent updates.
 
     Every factor of a model comes from its one workspace and shares one
-    sparsity pattern, so the support of column i (node i and its children) is
-    computed once; per iteration only the numeric column values are
-    re-gathered.
+    sparsity pattern. The support of column i is node i and its children, and
+    w(l_i) enters the whitened columns only at those rows, so two sites whose
+    supports are disjoint (neither is a parent of the other and they share no
+    child) are conditionally independent given the rest of w. A greedy
+    colouring of this moral graph of the DAG, B B^T with B the site x
+    support-row incidence, is built once; each colour class is then one
+    batched Gibbs step (Gonzalez et al. 2011, chromatic Gibbs). Per iteration
+    only the numeric column values are re-gathered.
     """
 
     def __init__(self, model):
         if not model.is_vecchia:
             raise ValidationError("single-site updates require the Vecchia path")
         f0 = model.factor_for(0)
-        csc = f0.csc
-        self.indptr = csc.indptr.copy()
-        self.indices = csc.indices.copy()
-        self.n = model.n
+        indptr, indices, _ = f0.column_blocks()
+        self.indptr, self.indices = indptr.copy(), indices.copy()
         self.order = f0.order
+        n = model.n
+        B = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        A = (B @ B.T).tocsr()
+        colour = np.full(n, -1)
+        for i in range(n):  # greedy, in DAG order: the smallest colour unused
+            taken = set(colour[A.indices[A.indptr[i]:A.indptr[i + 1]]].tolist())
+            colour[i] = next(c for c in range(n) if c not in taken)
+        self.classes = [_site_class(self.indptr, self.indices, np.flatnonzero(colour == c))
+                        for c in range(colour.max() + 1)]
         self.refresh(model)
 
     def refresh(self, model):
-        """Re-gather column values after any factor rebuild."""
+        """Re-gather column values after any factor rebuild, and form every
+        site's M M^T (M the q x |support| column values of the q factors)."""
         # (q, nnz) csc-ordered
-        self.coldata = np.vstack([model.factor_for(j).csc.data for j in range(model.q)])
-        self.mmt = []
-        for i in range(self.n):
-            sl = slice(self.indptr[i], self.indptr[i + 1])
-            M = self.coldata[:, sl]
-            self.mmt.append(M @ M.T)
+        self.coldata = np.vstack([model.factor_for(j).column_blocks()[2]
+                                  for j in range(model.q)])
+        C = self.coldata.T
+        self.mmt = np.add.reduceat(C[:, :, None] * C[:, None, :], self.indptr[:-1],
+                                   axis=0)                          # (n, q, q)
+
+
+def _update_site_class(cls, state, model, rng, sweep, Up, E):
+    """Draw w at every site of one class from the sites' full conditionals;
+    the sites' supports must be disjoint, so the draws are independent given
+    the rest of w. Writes the draws into state.W and their effect into Up;
+    returns the (|class|, q) draws."""
+    sites, slots, rows, owners, starts = cls
+    Q = model.Q
+    M = sweep.coldata[:, slots].T        # (slots, q): [k, r] = G_r[rows[k], site]
+    P = Q * sweep.mmt[sites]             # (c, q, q): P(i, i) of each site
+    # row block of P @ w at each site: [c, r] = sum_s Q_rs G_r[:, i] . U_s
+    pw = np.add.reduceat(M * (Up[rows] @ Q), starts)
+    idx = sweep.order[sites]
+    w = state.W[idx]
+    b = E[sites] / state.Delta - pw + np.einsum("crs,cs->cr", P, w)
+    L = np.linalg.cholesky(P + np.diag(1.0 / state.Delta))
+    z = rng.standard_normal((len(sites), model.q))
+    # mean + L^{-T} z = L^{-T} (L^{-1} b + z)
+    y = np.linalg.solve(L, b[:, :, None])[:, :, 0]
+    draw = np.linalg.solve(L.transpose(0, 2, 1), (y + z)[:, :, None])[:, :, 0]
+    state.W[idx] = draw
+    Up[rows] += M * (draw - w)[owners]   # rows of one class never repeat
+    return draw
 
 
 def update_w_single_site(i, state, data, model, rng, sweep=None, Up=None, E=None):
@@ -560,43 +611,29 @@ def update_w_single_site(i, state, data, model, rng, sweep=None, Up=None, E=None
     using the Markov blanket: the conditional precision is
     P(i, i) + Delta^{-1} with P(i, i) = Q hadamard [G_r[:, i]^T G_s[:, i]].
 
-    Standalone calls build the support structure on the fly; sweeps pass the
-    precomputed pieces (sweep, permuted whitened matrix Up, permuted centered
-    data E) and must keep them consistent.
+    Standalone calls build the support structure on the fly; callers that
+    pass the precomputed pieces (sweep, permuted whitened matrix Up, permuted
+    centered data E) must keep them consistent.
     """
     standalone = sweep is None
     if standalone:
         sweep = SiteSweep(model)
         Up = state.V[sweep.order]
         E = (data.Y - data.X @ state.B)[sweep.order]
-    Q = model.Q
-    q = model.q
-    sl = slice(sweep.indptr[i], sweep.indptr[i + 1])
-    sup = sweep.indices[sl]              # node i and its children
-    M = sweep.coldata[:, sl]             # (q, k) column values of each factor
-    P_ii = Q * sweep.mmt[i]
-    Tq = M @ Up[sup, :]                  # (q, q): [r, s] = G_r[:,i] . U_s
-    pw = (Q * Tq).sum(axis=1)            # row block of P @ w at site i
-    w_i = state.W[sweep.order[i]]
-    G = P_ii + np.diag(1.0 / state.Delta)
-    b = -(pw - P_ii @ w_i) + E[i] / state.Delta
-    L = np.linalg.cholesky(G)
-    mean = _potrs(L, b, lower=1)[0]
-    draw = mean + _trtrs(L.T, rng.standard_normal(q), lower=0)[0]
-    dw = draw - w_i
-    state.W[sweep.order[i]] = draw
-    Up[sup, :] += (M * dw[:, None]).T
+    one = _site_class(sweep.indptr, sweep.indices, np.array([i]))  # a class of one site
+    draw = _update_site_class(one, state, model, rng, sweep, Up, E)[0]
     if standalone:
         state.V[sweep.order] = Up
     return draw
 
 
 def sweep_w_sites(state, data, model, rng, sweep):
-    """One full single-site Gibbs sweep over all DAG positions."""
+    """One full single-site Gibbs sweep: the colour classes in colour order,
+    each class one batched draw."""
     Up = state.V[sweep.order]
     E = (data.Y - data.X @ state.B)[sweep.order]
-    for i in range(model.n):
-        update_w_single_site(i, state, data, model, rng, sweep=sweep, Up=Up, E=E)
+    for cls in sweep.classes:
+        _update_site_class(cls, state, model, rng, sweep, Up, E)
     state.V[sweep.order] = Up
 
 

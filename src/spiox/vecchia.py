@@ -13,7 +13,8 @@ same set always align row-wise.
 
 The sparse factor and the dense factor of the exact path share one interface
 (whiten, unwhiten, whiten_t, col_sq, dense_l, sum_log_diag), so callers never
-need to know how a factor is stored.
+need to know how a factor is stored; the sparse factor also hands out its
+column blocks (column_blocks) for the single-site latent sampler.
 """
 
 from functools import cached_property
@@ -63,6 +64,13 @@ class SparseInvChol:
     @cached_property
     def csc(self):
         return self.gamma.tocsc()
+
+    def column_blocks(self):
+        """Columns of G in DAG order as csc (indptr, indices, data): column i
+        holds the entries of rows i and i's children. Factors built from one
+        workspace share indptr and indices."""
+        c = self.csc
+        return c.indptr, c.indices, c.data
 
     @cached_property
     def gamma_t(self):

@@ -133,6 +133,8 @@ class TestFit:
         meta = json.load(open(out / "meta.json"))
         assert meta["n_draws"] == 4
         assert meta["timings_sec"]["init"] > 0.0
+        assert meta["timings_sec"]["io"] > 0.0
+        assert '"io": ' in (out / "summary.txt").read_text()
 
     def test_deterministic_chain_files(self, sim_file, tmp_path):
         cfg = tmp_path / "fit.cfg"

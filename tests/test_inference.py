@@ -7,8 +7,9 @@ import pytest
 from spiox.config import RunConfig
 from spiox.errors import ValidationError
 from spiox.geom import LocationSet
-from spiox.inference import (AdaptiveScale, McmcState, Priors, default_priors,
-                             draw_inverse_wishart, pcg_solve, run_chain,
+from spiox.inference import (AdaptiveScale, McmcState, Priors, SiteSweep,
+                             default_priors, draw_inverse_wishart, pcg_solve,
+                             run_chain, sweep_w_sites,
                              update_beta_latent, update_beta_response,
                              update_cluster_assignments, update_delta,
                              update_sigma, update_theta_block,
@@ -370,10 +371,63 @@ class TestLatentUpdates:
     def test_w_site_sweep_tracks_v(self):
         model, data, state, *_ = small_problem(n=15, q=2, seed=21, latent=True,
                                                m=5)
-        from spiox.inference import SiteSweep, sweep_w_sites
         sweep = SiteSweep(model)
         sweep_w_sites(state, data, model, np.random.default_rng(4), sweep)
         assert state.check_V(1e-9)
+
+    @pytest.mark.parametrize("m", [5, 15])
+    def test_site_colouring_partitions_disjoint_supports(self, m):
+        model, *_ = small_problem(n=80, q=2, seed=24, latent=True, m=m)
+        sweep = SiteSweep(model)
+        n = model.n
+        # support of column i, from the DAG itself: node i and its children
+        support = [{i} for i in range(n)]
+        for c, par in enumerate(model.dag.parents):
+            for i in par:
+                support[int(i)].add(c)
+        sites = np.concatenate([cls[0] for cls in sweep.classes])
+        assert np.array_equal(np.sort(sites), np.arange(n))
+        assert len(sweep.classes) > 1
+        for cls in sweep.classes:
+            rows = [r for i in cls[0] for r in support[i]]
+            assert len(rows) == len(set(rows))
+            assert sorted(cls[2].tolist()) == sorted(rows)
+
+    def test_site_classes_match_sequential_site_updates(self):
+        model, data, state, *_ = small_problem(n=60, q=3, seed=25, latent=True,
+                                               m=5)
+        sweep = SiteSweep(model)
+        assert max(len(cls[0]) for cls in sweep.classes) > 1
+        rng = np.random.default_rng(6)
+        Z = [rng.standard_normal((len(cls[0]), 3)) for cls in sweep.classes]
+        W0, V0 = state.W.copy(), state.V.copy()
+        sweep_w_sites(state, data, model, SeqRng(Z), sweep)
+        W_class, V_class = state.W.copy(), state.V.copy()
+
+        state.W, state.V = W0.copy(), V0.copy()
+        Up = state.V[sweep.order]
+        E = (data.Y - data.X @ state.B)[sweep.order]
+        for cls, z in zip(sweep.classes, Z):
+            for i, zi in zip(cls[0], z):
+                update_w_single_site(int(i), state, data, model, SeqRng([zi]),
+                                     sweep=sweep, Up=Up, E=E)
+        state.V[sweep.order] = Up
+        assert np.abs(W_class - state.W).max() <= 1e-12
+        assert np.abs(V_class - state.V).max() <= 1e-12
+        assert np.abs(W_class - W0).min() > 0  # every site moved
+        assert state.check_V(1e-9)
+
+    def test_site_refresh_matches_per_site_products(self):
+        model, *_ = small_problem(n=50, q=3, seed=26, latent=True, m=8)
+        sweep = SiteSweep(model)
+        model.set_theta(1, KernelParams(4.0, 1.1, 1e-2))
+        sweep.refresh(model)
+        indptr = model.factor_for(0).column_blocks()[0]
+        data = [model.factor_for(j).column_blocks()[2] for j in range(3)]
+        for i in range(model.n):
+            M = np.vstack([d[indptr[i]:indptr[i + 1]] for d in data])
+            mmt = M @ M.T  # entries up to about 50: 1e-14 relative
+            assert np.abs(sweep.mmt[i] - mmt).max() <= 1e-14 * np.abs(mmt).max()
 
     def test_delta_updates(self):
         model, data, state, *_ = small_problem(n=30, q=2, seed=22, latent=True)

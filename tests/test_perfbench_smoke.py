@@ -88,4 +88,9 @@ def test_latent_fit_spans(inputs, tmp_path, w_update, expected):
     assert STEP_SPANS | expected <= names
     assert counts["inference.theta.proposals"] == ITERS
     if w_update == "site":
-        assert counts["inference.w_site.calls"] == ITERS * 40
+        # one batched sweep per iteration, which calls update_w_single_site
+        # for no site
+        span_rows, span_names, _ = spans.load(tmp_path / f"{w_update}.npz")
+        w_id = span_names.index("inference.w")
+        assert int((span_rows[:, 0] == w_id).sum()) == ITERS
+        assert counts.get("inference.w_site.calls", 0) == 0
