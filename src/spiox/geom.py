@@ -6,8 +6,12 @@ each node is conditioned on (at most) its ``m`` nearest predecessors.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ValidationError
+
+# relative slack in the tree search's certification bound (see _tree_knn)
+_CERT_SLACK = 1e-12
 
 
 class LocationSet:
@@ -76,6 +80,58 @@ def order_locations(S, scheme="random", seed=0):
     raise ValidationError(f"unknown ordering scheme {scheme!r}")
 
 
+def _brute_knn(X, q, k):
+    """Indices of the k rows of X nearest ``q``, ranked by (squared distance,
+    index): the exact search that the tree search reproduces."""
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    d2 = ((X - q) ** 2).sum(axis=1)
+    # lexsort keys: last key is primary
+    return np.lexsort((np.arange(len(X)), d2))[:k]
+
+
+def _tree_knn(X, Q, k, limit=None):
+    """The k rows of X nearest each row of Q, ranked exactly as
+    :func:`_brute_knn` ranks them; with ``limit``, row i searches only
+    ``X[:limit[i]]``, which must hold at least k rows.
+
+    A kd-tree over X proposes K candidates per row. Their squared distances
+    are recomputed with the brute-force formula and ranked by (d2, index),
+    with candidates at or past the row's limit dropped. A row is certified
+    when its k-th kept d2 lies strictly below the d2 of the farthest candidate
+    returned: every row of X the tree did not return is at least that far, so
+    none can displace or tie with a kept one. Uncertified rows (too few
+    candidates within the limit, or a tie at the edge) are queried again with
+    twice as many candidates, twice at most, and the rest go to the
+    brute-force search.
+    """
+    N, n = len(Q), len(X)
+    out = np.empty((N, k), dtype=np.intp)
+    tree = cKDTree(X)
+    rows = np.arange(N)
+    K = min(2 * k + 8, n)
+    for _ in range(3):
+        if not rows.size:
+            break
+        Qr = Q[rows]
+        dist, idx = tree.query(Qr, k=K)
+        dist, idx = dist.reshape(len(rows), K), idx.reshape(len(rows), K)
+        d2 = ((X[idx] - Qr[:, None, :]) ** 2).sum(-1)
+        if limit is not None:
+            d2[idx >= limit[rows, None]] = np.inf
+        rank = np.lexsort((idx, d2))[:, :k]
+        kth = np.take_along_axis(d2, rank[:, -1:], axis=1)[:, 0]
+        # the tree's own distances may differ from d2 in the last bits
+        far = dist[:, -1] ** 2 * (1 - _CERT_SLACK) if K < n else np.inf
+        ok = kth < far
+        out[rows[ok]] = np.take_along_axis(idx[ok], rank[ok], axis=1)
+        rows = rows[~ok]
+        K = min(2 * K, n)
+    for i in rows:
+        out[i] = _brute_knn(X[:n if limit is None else limit[i]], Q[i], k)
+    return out
+
+
 def nearest_neighbors(query, candidates, k):
     """Indices of the k candidates closest to ``query`` in Euclidean distance.
 
@@ -84,14 +140,8 @@ def nearest_neighbors(query, candidates, k):
     """
     if k < 0:
         raise ValidationError("k must be >= 0")
-    if k == 0:
-        return np.empty(0, dtype=int)
     q = np.asarray(query, dtype=float).ravel()
-    d2 = ((candidates.coords - q) ** 2).sum(axis=1)
-    k = min(k, candidates.n)
-    # lexsort keys: last key is primary
-    full = np.lexsort((np.arange(candidates.n), d2))
-    return full[:k]
+    return _brute_knn(candidates.coords, q, k)
 
 
 class NeighborDag:
@@ -127,34 +177,42 @@ def build_nn_dag(S, m, scheme="random", seed=0):
     """Build the nearest-neighbor DAG: node k is parented by its min(k, m)
     nearest predecessors in the chosen ordering.
 
-    Predecessor search is exact (vectorized brute force); ties are broken by
-    ascending position so the construction is fully deterministic.
+    The search is exact, with ties broken by ascending position, so the
+    construction is fully deterministic. The first 4m positions are searched
+    by brute force. The rest are taken in doubling blocks [a, 2a), each
+    against a kd-tree over positions 0..2a-1 (the ordered search of Katzfuss
+    & Guinness 2021), and certified row by row as in :func:`_tree_knn`: rows
+    the tree cannot certify fall back to brute force, so the parents are
+    those of brute force in O(n log n) time.
     """
     if m < 0:
         raise ValidationError("m must be >= 0")
     order = order_locations(S, scheme, seed)
     P = S.coords[order]
     n = S.n
-    parents = []
-    for k in range(n):
-        take = min(k, m)
-        if take == 0:
-            parents.append(np.empty(0, dtype=int))
-            continue
-        d2 = ((P[:k] - P[k]) ** 2).sum(axis=1)
-        sel = np.lexsort((np.arange(k), d2))[:take]
-        parents.append(np.sort(sel))
+    head = min(n, 4 * m) if m else n
+    parents = [np.sort(_brute_knn(P[:pos], P[pos], min(pos, m)))
+               for pos in range(head)]
+    a = head
+    while a < n:
+        b = min(2 * a, n)
+        parents.extend(np.sort(_tree_knn(P[:b], P[a:b], m, np.arange(a, b)),
+                               axis=1))
+        a = b
     return NeighborDag(S, order, parents, m)
 
 
 def prediction_parents(T, S, m):
     """For each row of ``T`` (an (N, d) array), the positions in ``S`` of its m
-    nearest reference locations. m <= 0 or m >= n means all of S."""
+    nearest reference locations, by ascending distance with ties broken by
+    ascending position. m <= 0 or m >= n means all of S, in position order.
+
+    One kd-tree query over S serves every row, with the certification and
+    brute-force fallback of :func:`_tree_knn`, so each row equals
+    ``nearest_neighbors(t, S, m)``.
+    """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     n = S.n
     if m <= 0 or m >= n:
         return np.tile(np.arange(n), (T.shape[0], 1))
-    out = np.empty((T.shape[0], m), dtype=int)
-    for i, t in enumerate(T):
-        out[i] = nearest_neighbors(t, S, m)
-    return out
+    return _tree_knn(S.coords, T, m)

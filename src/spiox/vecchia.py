@@ -232,6 +232,13 @@ class VecchiaWorkspace:
         dest[pmask] = par_slot
         self.dest_par = dest
         self.dest_self = self_slot
+        # last (phi, nu) and its correlations of d_unique, with the zero slot.
+        # Off zero distance matern does not read tau2, so a tau2-only change
+        # reuses them; d_unique holds a zero only for sites so close that
+        # their squared distance underflows (LocationSet rejects duplicates),
+        # and then every build evaluates afresh. One tuple, so that concurrent
+        # builds never pair one key with another's values
+        self._rho_memo = (None, None)
 
     def build(self, p):
         """Assemble the factor for kernel params ``p``."""
@@ -240,7 +247,11 @@ class VecchiaWorkspace:
         one = 1.0 + p.tau2
         nnz = int(self.indptr[-1])
         data = np.empty(nnz + 1)
-        rho = np.concatenate([matern(self.d_unique, p), [0.0]])
+        key, rho = self._rho_memo
+        if key != (p.phi, p.nu) or not self.d_unique[:1].all():
+            rho = np.concatenate([matern(self.d_unique, p), [0.0]])
+            rho.setflags(write=False)
+            self._rho_memo = ((p.phi, p.nu), rho)
         Rpp = rho[self.pp_idx]
         k = self.kmax
         Rpp[:, np.arange(k), np.arange(k)] = one

@@ -22,10 +22,9 @@ import pytest
 
 from spiox.config import RunConfig
 from spiox.geom import LocationSet, build_nn_dag
-from spiox.inference import (McmcState, Priors, SiteSweep, default_priors,
-                             draw_inverse_wishart, run_chain, sweep_w_sites,
-                             update_beta_response, update_delta, update_sigma,
-                             update_w_single_outcome)
+from spiox.inference import (McmcState, Priors, default_priors,
+                             draw_inverse_wishart, run_chain,
+                             update_beta_response, update_delta, update_sigma)
 from spiox.ioxcore import (IoxModel, OutcomeMatrix, conditional_loglik,
                            cross_cov_set, loglik, whiten_columns,
                            zero_distance_cross_corr)
@@ -359,49 +358,32 @@ def test_criterion_6_parameter_recovery(tmp_path):
           f"{elapsed:.0f}s <= 600s")
 
 
-def test_criterion_7_latent_sampler_agreement():
-    rng_data = np.random.default_rng(7)
-    n, q = 200, 2
-    S = LocationSet(rng_data.uniform(0, 1, (n, 2)))
-    thetas = [KernelParams(20.0, 0.6, 1e-3), KernelParams(20.0, 1.3, 1e-3)]
-    Sigma = np.array([[1.0, -0.7], [-0.7, 1.0]])
-    Delta = np.array([0.3, 0.5])
-    gen = IoxModel(S, thetas, Sigma, m=0)
-    Y = simulate_prior_reference(gen, rng_data) \
-        + np.sqrt(Delta) * rng_data.standard_normal((n, q))
-    data = OutcomeMatrix(Y)
-    sweeps, burn = 10000, 500
-
-    def run(kind, seed):
-        model = IoxModel(S, thetas, Sigma, m=10, order_seed=3)
-        state = McmcState(model, data, B=np.zeros((1, q)),
-                          Delta=Delta.copy(), W=Y.copy())
-        rng = np.random.default_rng(seed)
-        sweep = SiteSweep(model) if kind == "site" else None
-        batch_means = []
-        acc = np.zeros((n, q))
-        batch = sweeps // 20
-        for it in range(burn + sweeps):
-            if kind == "site":
-                sweep_w_sites(state, data, model, rng, sweep)
-            else:
-                for j in range(q):
-                    update_w_single_outcome(j, state, data, model, rng)
-            if it >= burn:
-                acc += state.W
-                if (it - burn + 1) % batch == 0:
-                    batch_means.append(acc / batch)
-                    acc = np.zeros((n, q))
-        bm = np.array(batch_means)
-        return bm.mean(axis=0), bm.std(axis=0, ddof=1) / math.sqrt(len(bm))
-
-    m1, se1 = run("outcome", 101)
-    m2, se2 = run("site", 102)
+def test_criterion_7_latent_sampler_agreement(tmp_path):
+    # the per-outcome chain (seed 101) and the per-site chain (seed 102) run at
+    # once, each in a fresh single-threaded interpreter; the data, sweeps and
+    # burn-in are fixed in the worker
+    import subprocess
+    import sys as _sys
+    script = os.path.join(os.path.dirname(__file__), "_criterion7_worker.py")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    procs = {}
+    for kind, seed in (("outcome", 101), ("site", 102)):
+        out = tmp_path / f"c7_{kind}.npz"
+        procs[kind] = (subprocess.Popen(
+            [_sys.executable, script, kind, str(seed), str(out)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE), out)
+    res = {}
+    for kind, (proc, out) in procs.items():
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err.decode()[-2000:]
+        with np.load(out) as f:
+            res[kind] = (f["mean"], f["se"])
+    (m1, se1), (m2, se2) = res["outcome"], res["site"]
     se = np.sqrt(se1 ** 2 + se2 ** 2)
     z = np.abs(m1 - m2) / se
     assert float(z.max()) <= 4.0, f"max z = {z.max():.2f}"
     print(f"\nPASS criterion 7: latent samplers agree, max |diff|/SE = "
-          f"{z.max():.2f} <= 4 over {n * q} sites x outcomes")
+          f"{z.max():.2f} <= 4 over {z.size} sites x outcomes")
 
 
 def test_criterion_8_clustering_recovery():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiox.errors import ValidationError
-from spiox.geom import (LocationSet, build_nn_dag, nearest_neighbors,
-                        order_locations, prediction_parents)
+from spiox.geom import (LocationSet, _brute_knn, build_nn_dag,
+                        nearest_neighbors, order_locations, prediction_parents)
 
 from conftest import rand_locations
 
@@ -135,3 +135,125 @@ def test_prediction_parents_all_when_m_large():
     S = rand_locations(6, seed=1)
     out = prediction_parents(np.array([[0.1, 0.1]]), S, 10)
     assert sorted(out[0].tolist()) == list(range(6))
+
+
+# --- the kd-tree search against brute force --------------------------------
+
+def brute_dag_parents(S, m, scheme, seed=0):
+    """Reference DAG parents: per position, a full (squared distance,
+    position) sort of all predecessors."""
+    P = S.coords[order_locations(S, scheme, seed)]
+    out = []
+    for k in range(S.n):
+        d2 = ((P[:k] - P[k]) ** 2).sum(axis=1)
+        out.append(np.sort(np.lexsort((np.arange(k), d2))[:min(k, m)]).tolist())
+    return out
+
+
+def assert_dag_is_brute(S, m, scheme="random", seed=0):
+    dag = build_nn_dag(S, m, scheme, seed)
+    assert [p.tolist() for p in dag.parents] == brute_dag_parents(S, m, scheme, seed)
+
+
+def lattice(side, d=2):
+    g = np.arange(float(side))
+    return LocationSet(np.array(np.meshgrid(*[g] * d)).reshape(d, -1).T)
+
+
+def cross_polytope(d):
+    """The 2d points +-e_i: every pair not opposite is sqrt(2) apart, so almost
+    every neighbour set is a tie past any candidate count the tree asks for."""
+    return LocationSet(np.concatenate([np.eye(d), -np.eye(d)]))
+
+
+@pytest.fixture
+def brute_calls(monkeypatch):
+    """Candidate counts of every brute-force search made by spiox.geom."""
+    import spiox.geom as geom
+    calls = []
+
+    def counted(X, q, k):
+        calls.append(len(X))
+        return _brute_knn(X, q, k)
+
+    monkeypatch.setattr(geom, "_brute_knn", counted)
+    return calls
+
+
+class TestTreeDag:
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 2000])
+    def test_uniform(self, n):
+        assert_dag_is_brute(rand_locations(n, seed=n), 15)
+
+    @pytest.mark.parametrize("scheme", ["random", "coordinate-sum"])
+    def test_lattice_ties(self, scheme):
+        assert_dag_is_brute(lattice(40), 15, scheme, seed=3)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_dimensions(self, d):
+        assert_dag_is_brute(rand_locations(600, d=d, seed=d), 15)
+        assert_dag_is_brute(lattice(600 if d == 1 else 9, d), 15, "random", seed=d)
+
+    @pytest.mark.parametrize("m", [0, 1, 15, 299, 300, 400])
+    def test_parent_counts(self, m):
+        assert_dag_is_brute(rand_locations(300, seed=7), m)
+
+    def test_uncertified_rows_fall_back(self, brute_calls):
+        assert_dag_is_brute(cross_polytope(40), 2, "random", seed=5)
+        # positions past the 4m = 8 brute-force head that the tree left
+        assert any(n_cand > 8 for n_cand in brute_calls)
+
+
+class TestTreePredictionParents:
+    def per_site(self, T, S, m):
+        return np.array([nearest_neighbors(t, S, m) for t in T])
+
+    def test_random_points(self):
+        S = rand_locations(2000, seed=1)
+        T = np.random.default_rng(2).uniform(-0.1, 1.1, (300, 2))
+        assert np.array_equal(prediction_parents(T, S, 15), self.per_site(T, S, 15))
+
+    def test_points_on_reference_sites(self):
+        S = rand_locations(500, seed=3)
+        T = S.coords[::7]
+        out = prediction_parents(T, S, 10)
+        assert np.array_equal(out, self.per_site(T, S, 10))
+        assert np.array_equal(out[:, 0], np.arange(0, 500, 7))
+
+    def test_lattice_ties(self):
+        S = lattice(30)
+        T = lattice(12).coords * 2.0 + 0.5  # cell centres: four-way ties
+        assert np.array_equal(prediction_parents(T, S, 15), self.per_site(T, S, 15))
+
+    def test_uncertified_rows_fall_back(self, brute_calls):
+        S = cross_polytope(40)
+        T = np.zeros((3, 40))
+        T[1, 0] = 0.25
+        out = prediction_parents(T, S, 5)
+        assert len(brute_calls) == 3
+        assert np.array_equal(out, self.per_site(T, S, 5))
+
+    def test_single_row_and_m_one(self):
+        S = rand_locations(50, seed=4)
+        T = np.array([0.3, 0.6])
+        assert np.array_equal(prediction_parents(T, S, 1), self.per_site([T], S, 1))
+
+    @pytest.mark.parametrize("m", [0, 50, 80])
+    def test_all_of_s(self, m):
+        S = rand_locations(50, seed=5)
+        out = prediction_parents(np.array([[0.2, 0.2], [0.9, 0.1]]), S, m)
+        assert np.array_equal(out, np.tile(np.arange(50), (2, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(0, 12), seed=st.integers(0, 10_000),
+       on_grid=st.booleans(), coordinate_sum=st.booleans())
+def test_tree_dag_matches_brute_property(n, m, seed, on_grid, coordinate_sum):
+    rng = np.random.default_rng(seed)
+    if on_grid:  # distinct cells of a small grid: ties everywhere
+        cells = rng.choice(20 * 20, size=n, replace=False)
+        coords = np.stack([cells // 20, cells % 20], axis=1).astype(float)
+    else:
+        coords = rng.uniform(0, 1, (n, 2))
+    scheme = "coordinate-sum" if coordinate_sum else "random"
+    assert_dag_is_brute(LocationSet(coords), m, scheme, seed)

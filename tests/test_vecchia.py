@@ -95,6 +95,24 @@ class TestBuild:
         G2 = build_sparse_inv_chol(dag, S, p, workspace=ws)
         assert np.array_equal(G1.gamma.toarray(), G2.gamma.toarray())
 
+    def test_tau2_change_reuses_matern_values(self, monkeypatch):
+        import spiox.vecchia as vecchia
+        S = rand_locations(60, seed=2)
+        dag = build_nn_dag(S, 6, "random", seed=1)
+        ws = VecchiaWorkspace(dag)
+        ws.build(KernelParams(12.0, 0.8, 1e-3))
+        calls = []
+        monkeypatch.setattr(vecchia, "matern",
+                            lambda d, p: calls.append(p) or matern(d, p))
+        p = KernelParams(12.0, 0.8, 0.3)
+        G = ws.build(p)
+        assert calls == []
+        fresh = VecchiaWorkspace(dag).build(p)
+        assert calls == [p]
+        assert np.array_equal(G.gamma.data, fresh.gamma.data)
+        ws.build(KernelParams(12.0, 0.9, 0.3))
+        assert len(calls) == 2
+
     def test_mismatched_set_rejected(self):
         S = rand_locations(10, seed=1)
         other = rand_locations(11, seed=2)
