@@ -11,8 +11,7 @@ for CSV datasets.
 from .errors import NumericalError, ValidationError
 from .geom import LocationSet, NeighborDag, build_nn_dag, nearest_neighbors, order_locations
 from .kernels import KernelParams, corr_matrix, matern
-from .vecchia import (SparseInvChol, VecchiaWorkspace, build_sparse_inv_chol,
-                      dense_chol_factor)
+from .vecchia import SparseInvChol, VecchiaWorkspace, dense_chol_factor
 from .ioxcore import (IoxModel, OutcomeMatrix, avg_cross_corr, conditional_loglik,
                       cross_cov_point, cross_cov_set, h_and_r, loglik,
                       matern_zero_cross_corr, zero_distance_cross_corr)
@@ -34,7 +33,7 @@ __all__ = [
     "PredictionRequest", "Priors", "RunConfig", "SparseInvChol",
     "ValidationError",
     "VecchiaWorkspace", "avg_cross_corr", "build_nn_dag",
-    "build_sparse_inv_chol", "conditional_loglik", "corr_matrix",
+    "conditional_loglik", "corr_matrix",
     "cross_cov_point", "cross_cov_set", "default_priors", "dense_chol_factor",
     "draw_inverse_wishart", "h_and_r", "load_config", "loglik", "matern",
     "matern_zero_cross_corr", "nearest_neighbors", "order_locations",

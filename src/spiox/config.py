@@ -75,10 +75,6 @@ class RunConfig:
     sim_sigma: np.ndarray = None
     sim_vecchia_m: int = 0
     sim_domain: tuple = (0.0, 1.0)
-    # prediction block
-    predict_quantiles: list = field(default_factory=lambda: [0.025, 0.975])
-    predict_max_draws: int = 500
-    noise_free_prediction: bool = False
 
     def validate(self):
         if self.model not in ("response", "latent"):
@@ -208,8 +204,6 @@ _KEYMAP = {
     "sim.sigma": ("sim_sigma", _parse_matrix),
     "sim.vecchia_m": ("sim_vecchia_m", int),
     "sim.domain": ("sim_domain", _parse_floats),
-    "predict.quantiles": ("predict_quantiles", _parse_floats),
-    "predict.max_draws": ("predict_max_draws", int),
 }
 
 

@@ -26,7 +26,7 @@ class LocationSet:
         coords = np.array(coords, dtype=float, order="C")
         if coords.ndim == 1:
             coords = coords[:, None]
-        if coords.ndim != 2 or coords.shape[0] < 1:
+        if coords.ndim != 2 or 0 in coords.shape:
             raise ValidationError("coords must be a nonempty (n, d) array")
         if not np.all(np.isfinite(coords)):
             raise ValidationError("coordinates must all be finite")

@@ -59,7 +59,9 @@ class Priors:
     def validate(self, q):
         if self.sigma_scale is None:
             self.sigma_scale = np.eye(q)
-        self.sigma_scale = np.asarray(self.sigma_scale, dtype=float)
+        S = self.sigma_scale = np.asarray(self.sigma_scale, dtype=float)
+        if S.shape != (q, q) or not np.all(np.isfinite(S)) or np.linalg.eigvalsh(S)[0] <= 0:
+            raise ValidationError("sigma_scale must be a positive definite q x q matrix")
         if self.sigma_df <= q - 1:
             raise ValidationError(f"sigma_df must exceed q - 1 = {q - 1}")
         if self.delta_a <= 0 or self.delta_b <= 0:
@@ -104,7 +106,10 @@ def draw_inverse_wishart(nu, Psi, rng):
     q = Psi.shape[0]
     if nu <= q - 1:
         raise ValidationError("inverse Wishart needs nu > q - 1")
-    Lp = np.linalg.cholesky(Psi)
+    try:
+        Lp = np.linalg.cholesky(Psi)
+    except np.linalg.LinAlgError:
+        raise NumericalError("inverse-Wishart scale is not positive definite") from None
     A = np.zeros((q, q))
     A.flat[::q + 1] = np.sqrt(rng.chisquare(nu - np.arange(q)))
     if q > 1:
@@ -519,7 +524,7 @@ def update_w_single_outcome(j, state, data, model, rng, tol=1e-8, maxiter=None):
         diag = qjj * f.col_sq + 1.0 / delta
         w_j = pcg_solve(matvec, rhs + perturb, diag, tol=tol, maxiter=maxiter)
     else:
-        A = qjj * (f.Linv.T @ f.Linv) + np.eye(n) / delta
+        A = qjj * f.precision + np.eye(n) / delta
         w_j = sla.cho_solve(sla.cho_factor(A, lower=True), rhs + perturb)
     state.W[:, j] = w_j
     state.V[:, j] = f.whiten(w_j)
@@ -760,7 +765,8 @@ class Sampler:
     """One MCMC chain: the state, the adaptation scales, the optional thread
     pool, the draw buffers and the named steps of one scan.
 
-    Scan order: theta (not for a fixed grid of kernels), cluster assignments
+    Scan order: theta (not for a fixed grid of kernels, nor when every prior
+    box has zero width), cluster assignments
     pi (clustered and grid kernels), Sigma, beta, then for the latent model
     the w sweep and Delta, then the store step. ``run`` times each step under
     its name in ``timings`` (``init`` is the set-up) and reports a
@@ -806,7 +812,7 @@ class Sampler:
                     "block_accepts": np.zeros(k, dtype=int)}
 
         self.steps = []
-        if config.theta_mode != "grid":
+        if config.theta_mode != "grid" and self.free:
             self.steps.append(("theta", self.theta_joint if self.theta_update == "joint"
                                else self.theta_components))
         if config.theta_mode != "full":

@@ -28,7 +28,8 @@ from scipy.special import gammaln
 from .errors import NumericalError, ValidationError
 from .geom import LocationSet, build_nn_dag, prediction_parents
 from .kernels import matern
-from .vecchia import VecchiaWorkspace, dense_chol_factor
+from .vecchia import (VecchiaWorkspace, conditioning_blocks, conditioning_solve,
+                      dense_chol_factor, retry_row)
 
 _potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), dtype=float)
 
@@ -227,15 +228,9 @@ class IoxModel:
 
     def _pred_geometry(self, T):
         """Geometry shared by every outcome and every parameter draw at points
-        T: reference coincidences, prediction parents, and the distances in
-        their blocks. Cached by content digest so repeated prediction passes
-        pay once.
-
-        On the Vecchia path the distances are deduplicated as in
-        :class:`~spiox.vecchia.VecchiaWorkspace`: ``d_unique`` holds each
-        distinct parent-parent (upper triangle) and parent-site distance once,
-        and ``pp_idx`` / ``ps_idx`` gather the blocks from the correlations of
-        ``d_unique`` with one slot appended for the diagonal 1 + tau2.
+        T: reference coincidences, and on the Vecchia path the prediction
+        parents and their :func:`~spiox.vecchia.conditioning_blocks`. Cached
+        by content digest so repeated prediction passes pay once.
         """
         key = (T.shape, hashlib.blake2b(np.ascontiguousarray(T).tobytes(),
                                         digest_size=16).digest())
@@ -249,22 +244,10 @@ class IoxModel:
             entry = {"coin": coin, "DT": cdist(T, self.S.coords)}
         else:
             # a saturated DAG is the exact process: condition new points on all of S
-            pred_m = self.m if self.m < self.n - 1 else self.n
-            nbr = prediction_parents(T, self.S, pred_m)
-            C = self.S.coords[nbr]  # (N, k, d)
-            Dpp = np.sqrt(((C[:, :, None, :] - C[:, None, :, :]) ** 2).sum(-1))
-            Dps = np.sqrt(((C - T[:, None, :]) ** 2).sum(-1))
-            N, k = nbr.shape
-            iu, ju = np.triu_indices(k, 1)
-            d_unique, inv = np.unique(np.concatenate([Dpp[:, iu, ju].ravel(),
-                                                      Dps.ravel()]),
-                                      return_inverse=True)
-            pp_idx = np.full((N, k, k), d_unique.size, dtype=np.intp)
-            upper = inv[:N * iu.size].reshape(N, iu.size)
-            pp_idx[:, iu, ju] = upper
-            pp_idx[:, ju, iu] = upper
+            nbr = prediction_parents(T, self.S, self.m if self.m < self.n - 1 else self.n)
+            d_unique, pp_idx, ps_idx = conditioning_blocks(T, self.S.coords, nbr)
             entry = {"coin": coin, "nbr": nbr, "d_unique": d_unique,
-                     "pp_idx": pp_idx, "ps_idx": inv[N * iu.size:].reshape(N, k)}
+                     "pp_idx": pp_idx, "ps_idx": ps_idx}
         self._pred_cache[key] = entry
         return entry
 
@@ -273,7 +256,9 @@ class IoxModel:
 
         Returns (idx, vals, r): h_j(t) is supported on original-index columns
         idx[t] with values vals[t], and r[t] = r_j(t). Points coinciding with
-        a reference location get a unit vector and r = 0 exactly.
+        a reference location get a unit vector and r = 0 exactly. On the
+        Vecchia path the weights come from the guarded solve that builds the
+        factor rows (:func:`~spiox.vecchia.conditioning_solve`).
         """
         T = np.atleast_2d(np.asarray(T, dtype=float))
         p = self.params_for(j)
@@ -283,49 +268,33 @@ class IoxModel:
         if not self.is_vecchia:
             Rts = matern(geo["DT"], p)
             f = self.factor_for(j)
-            H = (Rts @ f.Linv.T) @ f.Linv
+            H = f.whiten_t(f.whiten(Rts.T)).T
             r = (1.0 + p.tau2) - np.einsum("tk,tk->t", H, Rts)
-            if hit.any():
-                H[hit] = 0.0
-                H[hit, coin[hit]] = 1.0
-                r[hit] = 0.0
             idx = np.tile(np.arange(self.n), (T.shape[0], 1))
-            return idx, H, np.maximum(r, 0.0)
-        nbr = geo["nbr"]
-        rho = np.append(matern(geo["d_unique"], p), 1.0 + p.tau2)
-        rps = rho[geo["ps_idx"]]
-        H = np.linalg.solve(rho[geo["pp_idx"]], rps[..., None])[..., 0]
-        r = (1.0 + p.tau2) - np.einsum("tk,tk->t", H, rps)
+        else:
+            idx = geo["nbr"]
+
+            def retry(Rpp, rps, one, t):  # a coincident row is replaced below
+                return (0.0, 0.0) if hit[t] else retry_row(
+                    Rpp, rps, one, f"prediction site {T[t].tolist()}")
+            H, r = conditioning_solve(np.append(matern(geo["d_unique"], p), 0.0),
+                                      geo["pp_idx"], geo["ps_idx"], 1.0 + p.tau2, retry)
         if hit.any():
-            H[hit] = nbr[hit] == coin[hit, None]
+            H[hit] = idx[hit] == coin[hit, None]
             r[hit] = 0.0
-        return nbr, H, np.maximum(r, 0.0)
+        return idx, H, np.maximum(r, 0.0)
 
     def hL_rows(self, T, j):
-        """Rows a(t) = h_j(t) L_j for points T, plus r_j(t).
-
-        The rows live in DAG-order space on the Vecchia path and in original
-        indexing on the dense path; within one model all outcomes agree, so
-        inner products a_i . a_j are always consistent.
+        """Rows a(t) = h_j(t) L_j for points T in original indexing, plus
+        r_j(t), on either path: the weights of :meth:`h_r_compact` scattered
+        into an n x N matrix and pushed through the factor's ``unwhiten_t``.
+        Within one model all outcomes agree, so inner products a_i . a_j are
+        always consistent.
         """
-        T = np.atleast_2d(np.asarray(T, dtype=float))
-        p = self.params_for(j)
-        f = self.factor_for(j)
-        if not self.is_vecchia:
-            geo = self._pred_geometry(T)
-            Rts = matern(geo["DT"], p)
-            A = Rts @ f.Linv.T
-            r = (1.0 + p.tau2) - np.einsum("tk,tk->t", A, A)
-            coin = geo["coin"]
-            hit = coin >= 0
-            if hit.any():
-                A[hit] = f.L[coin[hit], :]
-                r[hit] = 0.0
-            return A, np.maximum(r, 0.0)
         idx, vals, r = self.h_r_compact(T, j)
-        H = np.zeros((self.n, T.shape[0]))  # column t: h_j(t) in DAG order
-        H[f.inv_order[idx], np.arange(T.shape[0])[:, None]] = vals
-        return f.solve_gamma_t(H).T, r
+        H = np.zeros((self.n, idx.shape[0]))  # column t: h_j(t)
+        H[idx, np.arange(idx.shape[0])[:, None]] = vals
+        return self.factor_for(j).unwhiten_t(H).T, r
 
 
 # -- spec-level operations ---------------------------------------------------

@@ -7,14 +7,19 @@ r_i = rho(i, i) - h_i . rho(parents, i). Then G G^T is the precision of the
 DAG-implied Gaussian process at the reference set, and with m = n - 1 the
 factor equals the inverse of the dense lower Cholesky factor of rho(S).
 
-Rows live in DAG-order space; whiten/unwhiten accept and return vectors in
-the original location indexing so that per-outcome factors built over the
-same set always align row-wise.
+Rows live in DAG-order space; the solves accept and return vectors in the
+original location indexing so that per-outcome factors built over the same
+set always align row-wise.
 
 The sparse factor and the dense factor of the exact path share one interface
-(whiten, unwhiten, whiten_t, col_sq, dense_l, sum_log_diag), so callers never
-need to know how a factor is stored; the sparse factor also hands out its
-column blocks (column_blocks) for the single-site latent sampler.
+(whiten = L^{-1} x, unwhiten = L x, whiten_t = L^{-T} x, unwhiten_t = L^T x,
+col_sq, dense_l, sum_log_diag), so callers never need to know how a factor is
+stored; the sparse factor also hands out its column blocks (column_blocks) for
+the single-site latent sampler, and the dense one its precision rho(S)^{-1}.
+
+A factor row and a prediction weight h(t) are the same computation: the
+kriging weights and residual variance of one point given its parents.
+:func:`conditioning_blocks` and :func:`conditioning_solve` do it for both.
 """
 
 from functools import cached_property
@@ -48,7 +53,6 @@ class SparseInvChol:
     def __init__(self, dag, gamma, diag, params):
         self.dag = dag
         self.order = dag.order
-        self.inv_order = dag.inv_order
         self.gamma = gamma      # csr, DAG-order space
         self.diag = diag        # 1/sqrt(r) per position
         self.params = params
@@ -106,10 +110,12 @@ class SparseInvChol:
         out[self.order] = spsolve_triangular(self.gamma, v[self.order], lower=True)
         return out
 
-    def solve_gamma_t(self, b):
-        """x with G^T x = b, both in DAG-order space, b of shape (n,) or (n, r)."""
+    def unwhiten_t(self, x):
+        """L^T x = G^{-T} x for x of shape (n,) or (n, r), in original indexing."""
         from scipy.sparse.linalg import spsolve_triangular
-        return spsolve_triangular(self.gamma_t, b, lower=False)
+        out = np.empty_like(x)
+        out[self.order] = spsolve_triangular(self.gamma_t, x[self.order], lower=False)
+        return out
 
     def sum_log_diag(self):
         return float(np.log(self.diag).sum())
@@ -117,13 +123,6 @@ class SparseInvChol:
     def dense_l(self):
         """Dense L = G^{-1} in DAG order (rows and columns), built on each call."""
         return sla.solve_triangular(self.gamma.toarray(), np.eye(self.n), lower=True)
-
-    def dense_gamma_original(self):
-        """G mapped back to original indexing (dense, for validation only)."""
-        A = self.gamma.toarray()
-        out = np.zeros_like(A)
-        out[np.ix_(self.order, self.order)] = A
-        return out
 
 
 class DenseChol:
@@ -147,6 +146,15 @@ class DenseChol:
     def whiten_t(self, s):
         """L^{-T} s."""
         return self.Linv.T @ s
+
+    def unwhiten_t(self, x):
+        """L^T x."""
+        return self.L.T @ x
+
+    @cached_property
+    def precision(self):
+        """rho(S)^{-1} = L^{-T} L^{-1}."""
+        return self.Linv.T @ self.Linv
 
     @cached_property
     def col_sq(self):
@@ -174,26 +182,102 @@ def dense_chol_factor(S, p, cap=4000):
     return DenseChol(L, Linv, p)
 
 
+def conditioning_blocks(targets, coords, par, pmask=None):
+    """Deduplicated distances of the blocks that condition each target point
+    on its parents ``coords[par[b]]``; slots where ``pmask`` is False are
+    padding (default: none).
+
+    Returns (d_unique, pp_idx, ps_idx). ``d_unique`` holds each distinct
+    parent-parent (upper triangle) and parent-target distance once;
+    ``pp_idx`` (N, k, k) and ``ps_idx`` (N, k) gather the blocks from
+    ``np.append(rho(d_unique), 0.0)``. The diagonal and the padding read the
+    appended 0, and :func:`conditioning_solve` sets the diagonal, so padded
+    blocks are block-diagonal with an identity tail and a zero right-hand
+    side, which is exact.
+    """
+    N, k = par.shape
+    C = coords[par]                                           # (N, k, d)
+    iu, ju = np.triu_indices(k, 1)
+    Dpp = np.sqrt(((C[:, iu] - C[:, ju]) ** 2).sum(-1))      # (N, k(k-1)/2)
+    Dps = np.sqrt(((C - targets[:, None, :]) ** 2).sum(-1))  # (N, k)
+    if pmask is None:
+        pmask = np.ones((N, k), dtype=bool)
+    vpp = pmask[:, iu] & pmask[:, ju]
+    d_unique, inv = np.unique(np.concatenate([Dpp[vpp], Dps[pmask]]),
+                              return_inverse=True)
+    nv = int(vpp.sum())
+    upper = np.full(Dpp.shape, d_unique.size)
+    upper[vpp] = inv[:nv]
+    pp_idx = np.full((N, k, k), d_unique.size)
+    pp_idx[:, iu, ju] = pp_idx[:, ju, iu] = upper
+    ps_idx = np.full((N, k), d_unique.size)
+    ps_idx[pmask] = inv[nv:]
+    return d_unique, pp_idx, ps_idx
+
+
+def conditioning_solve(rho, pp_idx, ps_idx, one, retry):
+    """Kriging weights h and residual variances r = one - h . rps of every
+    block gathered from ``rho`` (see :func:`conditioning_blocks`), with
+    ``one`` = rho(0) on the diagonal.
+
+    One batched solve serves every row. When some block is exactly singular
+    each row is solved alone, and every row whose h or r is unusable (not
+    finite, or r <= 0) is replaced by ``retry(Rpp[b], rps[b], one, b)``.
+    """
+    Rpp = rho[pp_idx]
+    k = Rpp.shape[-1]
+    Rpp[:, np.arange(k), np.arange(k)] = one
+    rps = rho[ps_idx]
+    with np.errstate(all="ignore"):
+        try:
+            h = np.linalg.solve(Rpp, rps[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            h = np.full(rps.shape, np.nan)
+            for b in range(len(rps)):
+                try:
+                    h[b] = np.linalg.solve(Rpp[b], rps[b])
+                except np.linalg.LinAlgError:
+                    pass
+        r = one - np.einsum("nk,nk->n", h, rps)
+    bad = ~np.isfinite(r) | (r <= 0) | ~np.isfinite(h).all(axis=1)
+    for b in np.flatnonzero(bad):
+        h[b], r[b] = retry(Rpp[b], rps[b], one, b)
+    return h, r
+
+
+def retry_row(Rpp, rps, one, what):
+    """h and r of one block, retried with JITTER0, 10 JITTER0, 100 JITTER0
+    added to the diagonal; NumericalError naming ``what`` when every try
+    leaves h or r unusable."""
+    for attempt in range(JITTER_TRIES):
+        jit = JITTER0 * 10 ** attempt
+        try:
+            h = np.linalg.solve(Rpp + jit * np.eye(len(rps)), rps)
+        except np.linalg.LinAlgError:
+            continue
+        r = one - h @ rps
+        if np.isfinite(r) and r > 0 and np.all(np.isfinite(h)):
+            return h, r
+    raise NumericalError(f"{what} is singular (r <= 0 after jitter)")
+
+
 class VecchiaWorkspace:
     """Distance structure of a DAG, precomputed once so factors can be rebuilt
     cheaply for many kernel parameter proposals.
 
-    All pairwise distances appearing in any parent block are deduplicated, so
-    one rebuild evaluates the correlation function once per unique distance;
-    rows with fewer than m parents are zero-padded so the whole factor comes
-    out of a single batched solve (the padding is exact: padded blocks are
-    block-diagonal with an identity tail and zero right-hand side).
+    All pairwise distances appearing in any parent block are deduplicated
+    (:func:`conditioning_blocks`), so one rebuild evaluates the correlation
+    function once per unique distance; rows with fewer than m parents are
+    zero-padded so the whole factor comes out of a single batched solve.
     """
 
     def __init__(self, dag):
         self.dag = dag
-        coords = dag.S.coords[dag.order]
         n = dag.n
         # row pos of the factor: its parents, then pos itself
         kvec = np.fromiter(map(len, dag.parents), dtype=np.int64, count=n)
         flat = np.concatenate(dag.parents)
         kmax = int(kvec.max(initial=0))
-        self.kmax, self.kvec = kmax, kvec
         indptr = np.concatenate([[0], np.cumsum(kvec + 1)])
         nnz = int(indptr[-1])
         self_slot = indptr[1:] - 1
@@ -206,26 +290,13 @@ class VecchiaWorkspace:
         self.indptr = indptr
         self.indices = indices
 
-        # padded parent array; pad slots hold 0 (their gather entries route
-        # to the appended zero, so their distances are never read)
+        # padded parent array; pad slots hold 0 and are masked out
         pmask = np.arange(kmax)[None, :] < kvec[:, None]          # (n, kmax)
         par = np.zeros((n, kmax), dtype=np.int64)
         par[pmask] = flat
-        C = coords[par]                                           # (n, kmax, d)
-        Dpp = np.sqrt(((C[:, :, None, :] - C[:, None, :, :]) ** 2).sum(-1))
-        Dps = np.sqrt(((C - coords[:, None, :]) ** 2).sum(-1))
-
-        valid_pp = pmask[:, :, None] & pmask[:, None, :]
-        valid_pp &= ~np.eye(kmax, dtype=bool)[None, :, :]
-        valid_ps = pmask
-        cat = np.concatenate([Dpp[valid_pp], Dps[valid_ps]])
-        self.d_unique, inv = np.unique(cat, return_inverse=True)
-        zero_slot = self.d_unique.size  # appended 0.0 at build time
-
-        self.pp_idx = np.full((n, kmax, kmax), zero_slot, dtype=np.int64)
-        self.pp_idx[valid_pp] = inv[:valid_pp.sum()]
-        self.ps_idx = np.full((n, kmax), zero_slot, dtype=np.int64)
-        self.ps_idx[valid_ps] = inv[valid_pp.sum():]
+        coords = dag.S.coords[dag.order]
+        self.d_unique, self.pp_idx, self.ps_idx = conditioning_blocks(
+            coords, coords, par, pmask)
 
         # scatter map for -h/sqrt(r): pad slots write to a scratch tail cell
         dest = np.full((n, kmax), nnz, dtype=np.int64)
@@ -242,67 +313,23 @@ class VecchiaWorkspace:
 
     def build(self, p):
         """Assemble the factor for kernel params ``p``."""
-        dag = self.dag
-        n = dag.n
-        one = 1.0 + p.tau2
-        nnz = int(self.indptr[-1])
-        data = np.empty(nnz + 1)
+        n = self.dag.n
         key, rho = self._rho_memo
         if key != (p.phi, p.nu) or not self.d_unique[:1].all():
-            rho = np.concatenate([matern(self.d_unique, p), [0.0]])
+            rho = np.append(matern(self.d_unique, p), 0.0)
             rho.setflags(write=False)
             self._rho_memo = ((p.phi, p.nu), rho)
-        Rpp = rho[self.pp_idx]
-        k = self.kmax
-        Rpp[:, np.arange(k), np.arange(k)] = one
-        rps = rho[self.ps_idx]
-        with np.errstate(all="ignore"):
-            try:
-                h = np.linalg.solve(Rpp, rps[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # some block is exactly singular: solve each row alone, so
-                # only the rows that fail again go on to the jitter retries
-                h = np.full((n, k), np.nan)
-                for b in range(n):
-                    try:
-                        h[b] = np.linalg.solve(Rpp[b], rps[b])
-                    except np.linalg.LinAlgError:
-                        pass
-        r = one - np.einsum("nk,nk->n", h, rps)
-        bad = ~np.isfinite(r) | (r <= 0) | ~np.isfinite(h).all(axis=1)
-        if bad.any():
-            for b in np.flatnonzero(bad):
-                h[b], r[b] = self._retry_row(Rpp[b], rps[b], one, b)
+        h, r = conditioning_solve(rho, self.pp_idx, self.ps_idx, 1.0 + p.tau2,
+                                  self._retry_row)
         sq = np.sqrt(r)
+        nnz = int(self.indptr[-1])
+        data = np.empty(nnz + 1)
         data[self.dest_par.ravel()] = (-h / sq[:, None]).ravel()
         data[self.dest_self] = 1.0 / sq
         gamma = sp.csr_matrix((data[:nnz], self.indices, self.indptr),
                               shape=(n, n), copy=False)
-        return SparseInvChol(dag, gamma, 1.0 / np.sqrt(r), p)
+        return SparseInvChol(self.dag, gamma, 1.0 / sq, p)
 
     def _retry_row(self, Rpp, rps, one, pos):
-        for attempt in range(JITTER_TRIES):
-            jit = JITTER0 * 10 ** attempt
-            try:
-                h = np.linalg.solve(Rpp + jit * np.eye(len(rps)), rps)
-            except np.linalg.LinAlgError:
-                continue
-            r = one - h @ rps
-            if np.isfinite(r) and r > 0 and np.all(np.isfinite(h)):
-                return h, r
-        orig = self.dag.order[pos]
-        raise NumericalError(
-            f"Vecchia factor row for location {orig} is singular (r <= 0 after jitter)"
-        )
-
-
-def build_sparse_inv_chol(dag, S, p, workspace=None):
-    """Build the sparse inverse Cholesky factor of the DAG process at S under ``p``.
-
-    Passing a :class:`VecchiaWorkspace` (built once per DAG) amortizes the
-    distance computations across repeated rebuilds.
-    """
-    if dag.S is not S and dag.S.n != S.n:
-        raise ValidationError("dag was not built over this location set")
-    ws = workspace if workspace is not None else VecchiaWorkspace(dag)
-    return ws.build(p)
+        return retry_row(Rpp, rps, one,
+                         f"Vecchia factor row for location {self.dag.order[pos]}")

@@ -31,7 +31,6 @@ from spiox.ioxcore import (IoxModel, OutcomeMatrix, conditional_loglik,
 from spiox.kernels import KernelParams, corr_matrix
 from spiox.predict import (PosteriorDraw, posterior_predictive, _site_moments,
                            simulate_prior_reference)
-from spiox.vecchia import build_sparse_inv_chol, dense_chol_factor
 
 from conftest import dense_iox_cov, mvn_logpdf, rand_locations, rand_spd
 

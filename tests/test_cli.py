@@ -136,6 +136,19 @@ class TestFit:
         assert meta["timings_sec"]["io"] > 0.0
         assert '"io": ' in (out / "summary.txt").read_text()
 
+    def test_fixed_kernels(self, sim_file, tmp_path):
+        # every prior box has zero width: the scan has no theta step
+        cfg = tmp_path / "fit.cfg"
+        write(cfg, FIT_CFG + "prior.phi = 10, 10\nprior.nu = 1.2, 1.2\n"
+                             "prior.tau2 = 0.01, 0.01\n")
+        out = tmp_path / "chain"
+        assert main(["fit", "--config", str(cfg), "--data", str(sim_file),
+                     "--out", str(out)]) == 0
+        header, TH = read_table(out / "theta.csv")
+        fixed = {"phi": 10.0, "nu": 1.2, "tau2": 0.01}
+        for col, name in enumerate(header[1:], start=1):
+            assert np.all(TH[:, col] == fixed[name.split("_")[0]])
+
     def test_deterministic_chain_files(self, sim_file, tmp_path):
         cfg = tmp_path / "fit.cfg"
         write(cfg, FIT_CFG)
@@ -312,6 +325,54 @@ class TestPredict:
                      "--out", str(tmp_path / "p.csv")]) == 0
 
 
+@pytest.fixture
+def twin_file(tmp_path):
+    """60 uniform sites and q = 2 outcomes, two of the sites 1e-300 apart:
+    their squared distance underflows, so every correlation block that holds
+    both is exactly singular."""
+    rng = np.random.default_rng(0)
+    coords = rng.uniform(size=(60, 2))
+    coords[0], coords[1] = [1e-300, 0.5], [2e-300, 0.5]
+    out = tmp_path / "twin.csv"
+    write_dataset(out, coords, rng.standard_normal((60, 2)))
+    return out
+
+
+class TestExitCodes:
+    """Inputs that cannot give a result exit with a code and a message, never
+    a traceback; the twin-site data predict."""
+
+    @pytest.mark.parametrize("command, text, code", [
+        ("simulate", "sim.d = 0\n", 2),
+        ("fit", "prior.sigma_scale = 0\n", 2),
+        ("fit", "prior.sigma_scale = -1\n", 2),
+        ("fit", "vecchia_m = 15\n", 3),
+    ], ids=["sim_d_0", "sigma_scale_0", "sigma_scale_neg", "twin_default"])
+    def test_exit_code(self, twin_file, tmp_path, capsys, command, text, code):
+        cfg = tmp_path / "c.cfg"
+        write(cfg, text + "iters = 3\nburn = 1\n")
+        data = [] if command == "simulate" else ["--data", str(twin_file)]
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")] + data) == code
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err
+
+    def test_twin_sites_predict(self, twin_file, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        write(cfg, "vecchia_m = 8\niters = 4\nburn = 2\n")
+        chain = tmp_path / "chain"
+        assert main(["fit", "--config", str(cfg), "--data", str(twin_file),
+                     "--out", str(chain)]) == 0
+        write(tmp_path / "t.csv", "coord_1,coord_2,y_1,y_2\n0.01,0.5,,\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--chain", str(chain), "--data", str(twin_file),
+                     "--test", str(tmp_path / "t.csv"), "--out", str(out)]) == 0
+        header, rows = read_mixed(out)
+        assert len(rows) == 2
+        assert np.all(np.isfinite([r[header.index("mean")] for r in rows]))
+        assert np.all(np.isfinite([r[header.index("sd")] for r in rows]))
+
+
 def constructed_chain(path, coords, names, nu, tau2, nd=3):
     """A response chain of nd identical draws (phi = 5, Sigma = I, m = 8)
     written with the program's chain writer."""
@@ -420,8 +481,10 @@ class TestHelpers:
         parse_config("theta_mode = full\ntheta_update = joint\n")
 
     def test_unknown_config_key(self):
-        with pytest.raises(ValidationError, match="unknown key"):
-            parse_config("modle = response\n")
+        for text in ("modle = response\n", "predict.quantiles = 0.1, 0.9\n",
+                     "predict.max_draws = 1\n"):
+            with pytest.raises(ValidationError, match="unknown key"):
+                parse_config(text)
 
     def test_truncated_chain_file_offset(self, tmp_path):
         p = tmp_path / "theta.csv"

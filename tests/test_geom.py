@@ -30,6 +30,10 @@ class TestLocationSet:
         with pytest.raises(ValidationError):
             LocationSet([[0.0, np.nan]])
 
+    def test_zero_dimensions_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            LocationSet(np.empty((3, 0)))
+
     def test_coords_readonly(self):
         S = rand_locations(5)
         with pytest.raises(ValueError):

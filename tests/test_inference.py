@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spiox.config import RunConfig
-from spiox.errors import ValidationError
+from spiox.errors import NumericalError, ValidationError
 from spiox.geom import LocationSet
 from spiox.inference import (AdaptiveScale, McmcState, Priors, SiteSweep,
                              default_priors, draw_inverse_wishart, pcg_solve,
@@ -94,6 +94,10 @@ class TestInverseWishart:
     def test_df_guard(self):
         with pytest.raises(ValidationError):
             draw_inverse_wishart(1.5, np.eye(3), np.random.default_rng(0))
+
+    def test_indefinite_scale_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="inverse-Wishart scale"):
+            draw_inverse_wishart(5.0, [[1.0, 2.0], [2.0, 1.0]], np.random.default_rng(0))
 
 
 class TestSigmaUpdate:
@@ -603,6 +607,9 @@ class TestPriors:
             Priors(phi_bounds=(2.0, 1.0)).validate(2)
         with pytest.raises(ValidationError):
             Priors(nu_bounds=(0.25, 40.0)).validate(2)
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValidationError, match="sigma_scale"):
+                Priors(sigma_scale=scale * np.eye(2)).validate(2)
 
     def test_domain_scaled_phi(self):
         S = rand_locations(20, seed=34)

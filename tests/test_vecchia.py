@@ -10,7 +10,7 @@ import pytest
 from spiox.errors import NumericalError, ValidationError
 from spiox.geom import LocationSet, NeighborDag, build_nn_dag
 from spiox.kernels import KernelParams, corr_matrix, matern
-from spiox.vecchia import VecchiaWorkspace, build_sparse_inv_chol, dense_chol_factor
+from spiox.vecchia import VecchiaWorkspace, dense_chol_factor
 
 from conftest import rand_locations
 
@@ -37,19 +37,19 @@ class TestBuild:
     def test_n1(self):
         S = LocationSet([[0.0, 0.0]])
         p = KernelParams(phi=1.0, nu=1.0, tau2=0.21)
-        G = build_sparse_inv_chol(identity_dag(S, 0), S, p)
+        G = VecchiaWorkspace(identity_dag(S, 0)).build(p)
         assert G.gamma.toarray()[0, 0] == pytest.approx(1 / np.sqrt(1.21), rel=1e-14)
 
     def test_no_parents_exact_diagonal(self):
         # the batched build handles empty parent sets: r = 1 + tau2 exactly
         S = rand_locations(10, seed=22)
-        G = build_sparse_inv_chol(identity_dag(S, 0), S, KernelParams(3.0, 1.0, 0.3))
+        G = VecchiaWorkspace(identity_dag(S, 0)).build(KernelParams(3.0, 1.0, 0.3))
         assert np.all(G.gamma.toarray() == np.diag(np.full(10, 1.0 / np.sqrt(1.3))))
 
     def test_saturated_matches_dense_inverse_cholesky(self):
         S = rand_locations(20, seed=3)
         p = KernelParams(phi=8.0, nu=1.1, tau2=0.02)
-        G = build_sparse_inv_chol(identity_dag(S, 19), S, p)
+        G = VecchiaWorkspace(identity_dag(S, 19)).build(p)
         L = np.linalg.cholesky(corr_matrix(S, S, p))
         Li = np.linalg.inv(L)
         assert np.abs(G.gamma.toarray() - Li).max() <= 1e-8
@@ -57,14 +57,14 @@ class TestBuild:
     def test_far_points_identity(self):
         S = LocationSet([[0.0, 0.0], [1e6, 1e6]])
         p = KernelParams(phi=1.0, nu=0.5, tau2=0.0)
-        G = build_sparse_inv_chol(identity_dag(S, 1), S, p)
+        G = VecchiaWorkspace(identity_dag(S, 1)).build(p)
         assert np.abs(G.gamma.toarray() - np.eye(2)).max() < 1e-12
 
     def test_precision_reproduces_correlation(self):
         S = rand_locations(25, seed=11)
         p = KernelParams(phi=12.0, nu=0.7, tau2=0.0)
-        G = build_sparse_inv_chol(identity_dag(S, 24), S, p)
-        Gd = G.dense_gamma_original()
+        G = VecchiaWorkspace(identity_dag(S, 24)).build(p)
+        Gd = G.whiten(np.eye(25))
         R = corr_matrix(S, S, p)
         implied = np.linalg.inv(Gd.T @ Gd)
         assert np.abs(implied - R).max() / np.abs(R).max() <= 1e-8
@@ -72,7 +72,7 @@ class TestBuild:
     def test_logdet_matches_dense(self):
         S = rand_locations(18, seed=2)
         p = KernelParams(phi=6.0, nu=1.4, tau2=0.01)
-        G = build_sparse_inv_chol(identity_dag(S, 17), S, p)
+        G = VecchiaWorkspace(identity_dag(S, 17)).build(p)
         R = corr_matrix(S, S, p)
         assert -2.0 * G.sum_log_diag() == pytest.approx(
             np.linalg.slogdet(R)[1], rel=1e-8)
@@ -80,8 +80,8 @@ class TestBuild:
     def test_row_sparsity(self):
         S = rand_locations(60, seed=4)
         m = 7
-        G = build_sparse_inv_chol(build_nn_dag(S, m, "random", seed=1), S,
-                                  KernelParams(10.0, 1.0, 0.0))
+        dag = build_nn_dag(S, m, "random", seed=1)
+        G = VecchiaWorkspace(dag).build(KernelParams(10.0, 1.0, 0.0))
         assert G.nnz <= 60 * (m + 1)
         counts = np.diff(G.gamma.indptr)
         assert counts.max() <= m + 1
@@ -92,7 +92,8 @@ class TestBuild:
         ws = VecchiaWorkspace(dag)
         p = KernelParams(15.0, 0.8, 1e-3)
         G1 = ws.build(p)
-        G2 = build_sparse_inv_chol(dag, S, p, workspace=ws)
+        ws.build(KernelParams(9.0, 1.3, 0.1))
+        G2 = ws.build(p)
         assert np.array_equal(G1.gamma.toarray(), G2.gamma.toarray())
 
     def test_tau2_change_reuses_matern_values(self, monkeypatch):
@@ -113,44 +114,37 @@ class TestBuild:
         ws.build(KernelParams(12.0, 0.9, 0.3))
         assert len(calls) == 2
 
-    def test_mismatched_set_rejected(self):
-        S = rand_locations(10, seed=1)
-        other = rand_locations(11, seed=2)
-        dag = build_nn_dag(S, 3)
-        with pytest.raises(ValidationError):
-            build_sparse_inv_chol(dag, other, KernelParams(1.0, 1.0))
-
 
 class TestSolves:
     def test_whiten_zero_and_identity(self):
         S = rand_locations(12, seed=8)
-        G = build_sparse_inv_chol(identity_dag(S, 4), S, KernelParams(9.0, 1.0))
+        G = VecchiaWorkspace(identity_dag(S, 4)).build(KernelParams(9.0, 1.0))
         assert np.all(G.whiten(np.zeros(12)) == 0)
         far = LocationSet(1e5 * np.arange(1, 13, dtype=float)[:, None])
-        Gf = build_sparse_inv_chol(identity_dag(far, 2), far, KernelParams(1.0, 0.5))
+        Gf = VecchiaWorkspace(identity_dag(far, 2)).build(KernelParams(1.0, 0.5))
         y = np.random.default_rng(0).standard_normal(12)
         assert np.abs(Gf.whiten(y) - y).max() < 1e-10
 
     def test_whiten_matches_dense(self):
         S = rand_locations(15, seed=9)
         p = KernelParams(11.0, 1.2, 0.0)
-        G = build_sparse_inv_chol(identity_dag(S, 14), S, p)
+        G = VecchiaWorkspace(identity_dag(S, 14)).build(p)
         y = np.random.default_rng(1).standard_normal(15)
         Li = np.linalg.inv(np.linalg.cholesky(corr_matrix(S, S, p)))
         assert np.abs(G.whiten(y) - Li @ y).max() <= 1e-8
 
     def test_roundtrip(self):
         S = rand_locations(30, seed=10)
-        G = build_sparse_inv_chol(build_nn_dag(S, 6, "random", seed=2), S,
-                                  KernelParams(14.0, 0.9, 1e-2))
+        dag = build_nn_dag(S, 6, "random", seed=2)
+        G = VecchiaWorkspace(dag).build(KernelParams(14.0, 0.9, 1e-2))
         y = np.random.default_rng(2).standard_normal(30)
         assert np.abs(G.unwhiten(G.whiten(y)) - y).max() <= 1e-10
         assert np.all(G.unwhiten(np.zeros(30)) == 0)
 
     def test_matrix_rhs(self):
         S = rand_locations(20, seed=12)
-        G = build_sparse_inv_chol(build_nn_dag(S, 5, "random", seed=4), S,
-                                  KernelParams(8.0, 1.1, 0.0))
+        dag = build_nn_dag(S, 5, "random", seed=4)
+        G = VecchiaWorkspace(dag).build(KernelParams(8.0, 1.1, 0.0))
         Y = np.random.default_rng(3).standard_normal((20, 4))
         V = G.whiten(Y)
         cols = np.column_stack([G.whiten(Y[:, k]) for k in range(4)])
@@ -174,7 +168,7 @@ class TestSolves:
         S = rand_locations(30, seed=21)
         p = KernelParams(12.0, 0.8, 1e-3)
         dag = build_nn_dag(S, 5, "random", seed=7)
-        G = build_sparse_inv_chol(dag, S, p)
+        G = VecchiaWorkspace(dag).build(p)
         A = G.gamma.toarray()
         for pos in (3, 11, 29):
             assert np.abs(A[pos] - standalone_row(dag, p, pos)).max() <= 1e-10
@@ -199,13 +193,14 @@ class TestSolves:
 
     def test_transpose_solve(self):
         S = rand_locations(18, seed=13)
-        G = build_sparse_inv_chol(build_nn_dag(S, 4, "random", seed=5), S,
-                                  KernelParams(9.0, 0.6, 0.0))
+        dag = build_nn_dag(S, 4, "random", seed=5)
+        G = VecchiaWorkspace(dag).build(KernelParams(9.0, 0.6, 0.0))
         rng = np.random.default_rng(4)
+        Gd = G.whiten(np.eye(18))  # G in original indexing
         for b in (rng.standard_normal(18), rng.standard_normal((18, 5))):
-            x = G.solve_gamma_t(b)
+            x = G.unwhiten_t(b)
             assert x.shape == b.shape
-            assert np.abs(G.gamma.toarray().T @ x - b).max() <= 1e-10
+            assert np.abs(Gd.T @ x - b).max() <= 1e-10
 
 
     def test_retry_only_failing_rows(self):
@@ -278,7 +273,7 @@ def test_singularity_error_names_row():
 
 
 class TestFactorInterface:
-    """whiten_t, col_sq and dense_l of both storage formats against dense
+    """whiten_t, unwhiten_t, col_sq and dense_l of both storage formats against dense
     oracles on one set and ordering (a saturated DAG is the exact process)."""
 
     def setup_method(self):
@@ -302,6 +297,15 @@ class TestFactorInterface:
         want = np.empty_like(s)
         want[o] = np.linalg.solve(L.T, s[o])
         got = self.factors[kind].whiten_t(s)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_unwhiten_t(self, kind):
+        L, o = self.oracle_l(kind)
+        s = np.random.default_rng(6).standard_normal(self.S.n)
+        want = np.empty_like(s)
+        want[o] = L.T @ s[o]
+        got = self.factors[kind].unwhiten_t(s)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
