@@ -696,24 +696,20 @@ def _profile_loglik_init(resid, S, priors, free, order_seed=0):
     grid = [KernelParams(phi=p, nu=v, tau2=t)
             for p in axis("phi", 6) for v in axis("nu", 5, log=False)
             for t in axis("tau2", 3)]
-    factors = []
+    best = [None] * q      # per outcome: (ll, p, v), scored as each factor is built
     for p in grid:
         try:
-            factors.append((p, ws.build(p)))
+            G = ws.build(p)
         except NumericalError:
             continue
-    thetas = []
-    V = np.empty((n, q))
-    for j in range(q):
-        best = None
-        for p, G in factors:
+        for j in range(q):
             v = G.whiten(resid[:, j])
             rss = float(v @ v)
             ll = G.sum_log_diag() - 0.5 * n * math.log(max(rss / n, 1e-300))
-            if best is None or ll > best[0]:
-                best = (ll, p, v)
-        thetas.append(best[1])
-        V[:, j] = best[2]
+            if best[j] is None or ll > best[j][0]:
+                best[j] = (ll, p, v)
+    thetas = [b[1] for b in best]
+    V = np.column_stack([b[2] for b in best])
     Sigma = V.T @ V / n
     Sigma = 0.5 * (Sigma + Sigma.T) + 1e-4 * np.trace(Sigma) / q * np.eye(q)
     return thetas, Sigma

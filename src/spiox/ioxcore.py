@@ -18,6 +18,7 @@ the m reference locations nearest to l.
 
 import hashlib
 import math
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -245,9 +246,8 @@ class IoxModel:
         else:
             # a saturated DAG is the exact process: condition new points on all of S
             nbr = prediction_parents(T, self.S, self.m if self.m < self.n - 1 else self.n)
-            d_unique, pp_idx, ps_idx = conditioning_blocks(T, self.S.coords, nbr)
-            entry = {"coin": coin, "nbr": nbr, "d_unique": d_unique,
-                     "pp_idx": pp_idx, "ps_idx": ps_idx}
+            d_unique, idx = conditioning_blocks(T, self.S.coords, nbr)
+            entry = {"coin": coin, "nbr": nbr, "d_unique": d_unique, "idx": idx}
         self._pred_cache[key] = entry
         return entry
 
@@ -266,7 +266,7 @@ class IoxModel:
         coin = geo["coin"]
         hit = coin >= 0
         if not self.is_vecchia:
-            Rts = matern(geo["DT"], p)
+            Rts = matern(geo["DT"], replace(p, tau2=0.0))  # coincident rows are pinned below
             f = self.factor_for(j)
             H = f.whiten_t(f.whiten(Rts.T)).T
             r = (1.0 + p.tau2) - np.einsum("tk,tk->t", H, Rts)
@@ -277,8 +277,8 @@ class IoxModel:
             def retry(Rpp, rps, one, t):  # a coincident row is replaced below
                 return (0.0, 0.0) if hit[t] else retry_row(
                     Rpp, rps, one, f"prediction site {T[t].tolist()}")
-            H, r = conditioning_solve(np.append(matern(geo["d_unique"], p), 0.0),
-                                      geo["pp_idx"], geo["ps_idx"], 1.0 + p.tau2, retry)
+            H, r = conditioning_solve(matern(geo["d_unique"], replace(p, tau2=0.0)),
+                                      geo["idx"], 1.0 + p.tau2, retry)
         if hit.any():
             H[hit] = idx[hit] == coin[hit, None]
             r[hit] = 0.0

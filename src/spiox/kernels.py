@@ -17,7 +17,7 @@ distance, not on the array around it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -242,14 +242,15 @@ def corr_matrix(A, B, p):
     """The n_A x n_B matrix with (i, j) entry matern(||a_i - b_j||, p).
 
     When A and B are the same object the result is exactly symmetric with
-    diagonal 1 + tau2.
+    diagonal 1 + tau2, and the nugget enters only there: two distinct sites
+    whose distance underflows to 0 get correlation 1, not 1 + tau2.
     """
     same = A is B
     D = cdist(A.coords, B.coords)
     if same:
         D = 0.5 * (D + D.T)
         np.fill_diagonal(D, 0.0)
-    M = matern(D, p)
+    M = matern(D, replace(p, tau2=0.0) if same else p)
     if same:
         M = 0.5 * (M + M.T)
         np.fill_diagonal(M, 1.0 + p.tau2)

@@ -19,9 +19,11 @@ the single-site latent sampler, and the dense one its precision rho(S)^{-1}.
 
 A factor row and a prediction weight h(t) are the same computation: the
 kriging weights and residual variance of one point given its parents.
-:func:`conditioning_blocks` and :func:`conditioning_solve` do it for both.
+:func:`conditioning_blocks` and :func:`conditioning_solve` do it for both,
+with one Cholesky pass vectorized over the blocks.
 """
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -187,61 +189,66 @@ def conditioning_blocks(targets, coords, par, pmask=None):
     on its parents ``coords[par[b]]``; slots where ``pmask`` is False are
     padding (default: none).
 
-    Returns (d_unique, pp_idx, ps_idx). ``d_unique`` holds each distinct
-    parent-parent (upper triangle) and parent-target distance once;
-    ``pp_idx`` (N, k, k) and ``ps_idx`` (N, k) gather the blocks from
-    ``np.append(rho(d_unique), 0.0)``. The diagonal and the padding read the
-    appended 0, and :func:`conditioning_solve` sets the diagonal, so padded
-    blocks are block-diagonal with an identity tail and a zero right-hand
-    side, which is exact.
+    Returns (d_unique, idx). ``d_unique`` holds each distinct parent-parent
+    and parent-target distance once. ``idx`` (k, k+1, N) gathers the lower
+    triangle of every augmented block [[Rpp, rps], [rps^T, one]] column by
+    column: ``idx[j, i, b]`` is entry (i, j), i >= j, of block b, read from
+    ``[rho(d_unique), 0.0, one]`` (:func:`conditioning_solve`). The diagonal
+    reads ``one``; padding and the unused upper triangle read 0, so a padded
+    block is block-diagonal with a zero right-hand side, which is exact.
     """
     N, k = par.shape
-    C = coords[par]                                           # (N, k, d)
-    iu, ju = np.triu_indices(k, 1)
-    Dpp = np.sqrt(((C[:, iu] - C[:, ju]) ** 2).sum(-1))      # (N, k(k-1)/2)
-    Dps = np.sqrt(((C - targets[:, None, :]) ** 2).sum(-1))  # (N, k)
     if pmask is None:
         pmask = np.ones((N, k), dtype=bool)
-    vpp = pmask[:, iu] & pmask[:, ju]
-    d_unique, inv = np.unique(np.concatenate([Dpp[vpp], Dps[pmask]]),
-                              return_inverse=True)
-    nv = int(vpp.sum())
-    upper = np.full(Dpp.shape, d_unique.size)
-    upper[vpp] = inv[:nv]
-    pp_idx = np.full((N, k, k), d_unique.size)
-    pp_idx[:, iu, ju] = pp_idx[:, ju, iu] = upper
-    ps_idx = np.full((N, k), d_unique.size)
-    ps_idx[pmask] = inv[nv:]
-    return d_unique, pp_idx, ps_idx
+    # point k of each augmented block is its target
+    C = np.concatenate([coords[par], targets[:, None, :]], axis=1)   # (N, k+1, d)
+    pm = np.concatenate([pmask, np.ones((N, 1), dtype=bool)], axis=1)
+    iu, ju = np.triu_indices(k + 1, 1)
+    # summed by coordinate, so no (N, pairs, d) temporary is made
+    D = np.sqrt(sum((x[:, iu] - x[:, ju]) ** 2 for x in np.moveaxis(C, -1, 0)))
+    valid = pm[:, iu] & pm[:, ju]
+    d_unique, inv = np.unique(D[valid], return_inverse=True)
+    src = np.full(D.shape, d_unique.size)
+    src[valid] = inv
+    # intp, not a narrower type: the gather would cast it on every build
+    idx = np.full((k, k + 1, N), d_unique.size, dtype=np.intp)
+    idx[iu, ju] = src.T
+    idx[np.arange(k), np.arange(k)] = d_unique.size + 1
+    return d_unique, idx
 
 
-def conditioning_solve(rho, pp_idx, ps_idx, one, retry):
-    """Kriging weights h and residual variances r = one - h . rps of every
-    block gathered from ``rho`` (see :func:`conditioning_blocks`), with
-    ``one`` = rho(0) on the diagonal.
+def conditioning_solve(rho, idx, one, retry):
+    """Kriging weights h (N, k) and residual variances r = one - h . rps (N,)
+    of every block gathered by ``idx`` from ``[rho, 0.0, one]`` (see
+    :func:`conditioning_blocks`); ``rho`` holds the nugget-free correlations
+    of ``d_unique`` and ``one`` = 1 + tau2 the diagonal.
 
-    One batched solve serves every row. When some block is exactly singular
-    each row is solved alone, and every row whose h or r is unusable (not
-    finite, or r <= 0) is replaced by ``retry(Rpp[b], rps[b], one, b)``.
+    One in-place Cholesky pass factors all N augmented blocks at once, one
+    numpy step per column: its last row is v = L^{-1} rps, so r = one - v . v,
+    and h = L^{-T} v by back substitution. A block that is not numerically
+    positive definite gets a NaN or infinite row of its own; every row whose
+    h or r is unusable (not finite, or r <= 0) is replaced by
+    ``retry(Rpp[b], rps[b], one, b)``.
     """
-    Rpp = rho[pp_idx]
-    k = Rpp.shape[-1]
-    Rpp[:, np.arange(k), np.arange(k)] = one
-    rps = rho[ps_idx]
+    vals = np.concatenate([rho, [0.0, one]])
+    A = vals[idx]                        # A[j, i, b] = L[i, j] once column j is done
+    k = A.shape[0]
     with np.errstate(all="ignore"):
-        try:
-            h = np.linalg.solve(Rpp, rps[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            h = np.full(rps.shape, np.nan)
-            for b in range(len(rps)):
-                try:
-                    h[b] = np.linalg.solve(Rpp[b], rps[b])
-                except np.linalg.LinAlgError:
-                    pass
-        r = one - np.einsum("nk,nk->n", h, rps)
+        for j in range(k):
+            A[j, j:] -= np.einsum("lib,lb->ib", A[:j, j:], A[:j, j])
+            A[j, j] = np.sqrt(A[j, j])
+            A[j, j + 1:] /= A[j, j]
+        v = A[:, k]
+        r = one - np.einsum("lb,lb->b", v, v)
+        h = np.empty_like(v)
+        for i in range(k - 1, -1, -1):
+            h[i] = (v[i] - np.einsum("lb,lb->b", A[i, i + 1:k], h[i + 1:])) / A[i, i]
+    h = h.T
     bad = ~np.isfinite(r) | (r <= 0) | ~np.isfinite(h).all(axis=1)
     for b in np.flatnonzero(bad):
-        h[b], r[b] = retry(Rpp[b], rps[b], one, b)
+        low = vals[idx[:, :, b]].T                        # (k+1, k), lower
+        Rpp = low[:k] + np.tril(low[:k], -1).T
+        h[b], r[b] = retry(Rpp, low[k], one, b)
     return h, r
 
 
@@ -268,7 +275,8 @@ class VecchiaWorkspace:
     All pairwise distances appearing in any parent block are deduplicated
     (:func:`conditioning_blocks`), so one rebuild evaluates the correlation
     function once per unique distance; rows with fewer than m parents are
-    zero-padded so the whole factor comes out of a single batched solve.
+    zero-padded so the whole factor comes out of one vectorized Cholesky
+    pass (:func:`conditioning_solve`).
     """
 
     def __init__(self, dag):
@@ -295,32 +303,27 @@ class VecchiaWorkspace:
         par = np.zeros((n, kmax), dtype=np.int64)
         par[pmask] = flat
         coords = dag.S.coords[dag.order]
-        self.d_unique, self.pp_idx, self.ps_idx = conditioning_blocks(
-            coords, coords, par, pmask)
+        self.d_unique, self.idx = conditioning_blocks(coords, coords, par, pmask)
 
         # scatter map for -h/sqrt(r): pad slots write to a scratch tail cell
         dest = np.full((n, kmax), nnz, dtype=np.int64)
         dest[pmask] = par_slot
         self.dest_par = dest
         self.dest_self = self_slot
-        # last (phi, nu) and its correlations of d_unique, with the zero slot.
-        # Off zero distance matern does not read tau2, so a tau2-only change
-        # reuses them; d_unique holds a zero only for sites so close that
-        # their squared distance underflows (LocationSet rejects duplicates),
-        # and then every build evaluates afresh. One tuple, so that concurrent
-        # builds never pair one key with another's values
+        # last (phi, nu) and its nugget-free correlations of d_unique, which
+        # a tau2-only change reuses. One tuple, so that concurrent builds
+        # never pair one key with another's values
         self._rho_memo = (None, None)
 
     def build(self, p):
         """Assemble the factor for kernel params ``p``."""
         n = self.dag.n
         key, rho = self._rho_memo
-        if key != (p.phi, p.nu) or not self.d_unique[:1].all():
-            rho = np.append(matern(self.d_unique, p), 0.0)
+        if key != (p.phi, p.nu):
+            rho = matern(self.d_unique, replace(p, tau2=0.0))
             rho.setflags(write=False)
             self._rho_memo = ((p.phi, p.nu), rho)
-        h, r = conditioning_solve(rho, self.pp_idx, self.ps_idx, 1.0 + p.tau2,
-                                  self._retry_row)
+        h, r = conditioning_solve(rho, self.idx, 1.0 + p.tau2, self._retry_row)
         sq = np.sqrt(r)
         nnz = int(self.indptr[-1])
         data = np.empty(nnz + 1)

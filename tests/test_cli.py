@@ -328,8 +328,8 @@ class TestPredict:
 @pytest.fixture
 def twin_file(tmp_path):
     """60 uniform sites and q = 2 outcomes, two of the sites 1e-300 apart:
-    their squared distance underflows, so every correlation block that holds
-    both is exactly singular."""
+    their squared distance underflows, so with tau2 = 0 every correlation
+    block that holds both is exactly singular."""
     rng = np.random.default_rng(0)
     coords = rng.uniform(size=(60, 2))
     coords[0], coords[1] = [1e-300, 0.5], [2e-300, 0.5]
@@ -340,13 +340,13 @@ def twin_file(tmp_path):
 
 class TestExitCodes:
     """Inputs that cannot give a result exit with a code and a message, never
-    a traceback; the twin-site data predict."""
+    a traceback; the twin-site data fit and predict."""
 
     @pytest.mark.parametrize("command, text, code", [
         ("simulate", "sim.d = 0\n", 2),
         ("fit", "prior.sigma_scale = 0\n", 2),
         ("fit", "prior.sigma_scale = -1\n", 2),
-        ("fit", "vecchia_m = 15\n", 3),
+        ("fit", "vecchia_m = 15\n", 0),
     ], ids=["sim_d_0", "sigma_scale_0", "sigma_scale_neg", "twin_default"])
     def test_exit_code(self, twin_file, tmp_path, capsys, command, text, code):
         cfg = tmp_path / "c.cfg"
@@ -354,8 +354,16 @@ class TestExitCodes:
         data = [] if command == "simulate" else ["--data", str(twin_file)]
         assert main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "out")] + data) == code
-        err = capsys.readouterr().err
-        assert err and "Traceback" not in err
+        if code:
+            err = capsys.readouterr().err
+            assert err and "Traceback" not in err
+        else:
+            # the nugget sits only on the diagonal, so with tau2 > 0 the
+            # blocks that hold both twins are positive definite, and Sigma
+            # stays near the data's unit variances
+            _, sigma = read_table(tmp_path / "out" / "sigma.csv")
+            diag = sigma[:, [1, 3]]
+            assert np.all(np.isfinite(sigma)) and np.all((diag > 0.1) & (diag < 10.0))
 
     def test_twin_sites_predict(self, twin_file, tmp_path):
         cfg = tmp_path / "fit.cfg"

@@ -61,9 +61,9 @@ class TestHandR:
         assert r == pytest.approx(1.0 - h0 @ rho_ts, abs=1e-12)
 
     def test_twin_sites_vecchia_matches_exact(self):
-        # two sites whose squared distance underflows: matern gives 1 + tau2
-        # between them, so every parent block holding both is exactly singular
-        # and the Vecchia weights go through the jitter retries
+        # two sites whose squared distance underflows: with tau2 = 0 their
+        # correlation is 1, so every parent block holding both is exactly
+        # singular and the Vecchia weights go through the jitter retries
         coords = np.random.default_rng(0).uniform(size=(60, 2))
         coords[0], coords[1] = [1e-300, 0.5], [2e-300, 0.5]
         S = LocationSet(coords)
@@ -73,6 +73,38 @@ class TestHandR:
         he, re = h_and_r(t, 0, IoxModel(S, thetas, np.eye(2), m=0))
         assert np.abs(hv - he).max() <= 1e-6
         assert abs(rv - re) <= 1e-6
+
+    def test_near_twin_sites_vecchia_matches_exact(self):
+        # two sites 1e-14 apart with tau2 = 0: the blocks that hold both are
+        # singular to rounding, which a pivoting LU does not flag (it gave
+        # weights of 1e13 and r = 0.33); the Cholesky pivot goes <= 0 and
+        # the row is retried. h differs from the exact path by the m = 8
+        # approximation alone (about 4e-3)
+        coords = np.random.default_rng(5).uniform(size=(60, 2))
+        coords[0], coords[1] = [0.0, 0.5], [1e-14, 0.5]
+        S = LocationSet(coords)
+        thetas = [KernelParams(10.0, 1.0, 0.0)] * 2
+        t = np.array([0.01, 0.5])
+        hv, rv = h_and_r(t, 0, IoxModel(S, thetas, np.eye(2), m=8))
+        he, re = h_and_r(t, 0, IoxModel(S, thetas, np.eye(2), m=0))
+        assert abs(rv - re) <= 1e-3
+        assert np.abs(hv - he).max() <= 1e-2
+
+    def test_site_a_hair_from_reference_is_not_pinned(self):
+        # 1e-300 from a reference site the distance underflows to 0, but the
+        # sites differ, so neither path adds the nugget to their correlation:
+        # both give the same r > 0, while the coincident site is pinned
+        coords = np.random.default_rng(0).uniform(size=(60, 2))
+        coords[0] = [2e-300, 0.5]
+        S = LocationSet(coords)
+        thetas = [KernelParams(10.0, 1.0, 0.1)] * 2
+        for t, pinned in (([1e-300, 0.5], False), ([2e-300, 0.5], True)):
+            rv, re = (h_and_r(np.array(t), 0, IoxModel(S, thetas, np.eye(2), m=m))[1]
+                      for m in (8, 0))
+            if pinned:
+                assert rv == re == 0.0
+            else:
+                assert re > 0.1 and abs(rv - re) <= 1e-3
 
     def test_r_nonnegative(self):
         model, _, _, _ = make_model(20, 2, seed=6)

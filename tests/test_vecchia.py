@@ -10,7 +10,8 @@ import pytest
 from spiox.errors import NumericalError, ValidationError
 from spiox.geom import LocationSet, NeighborDag, build_nn_dag
 from spiox.kernels import KernelParams, corr_matrix, matern
-from spiox.vecchia import VecchiaWorkspace, dense_chol_factor
+from spiox.vecchia import (VecchiaWorkspace, conditioning_blocks, conditioning_solve,
+                           dense_chol_factor)
 
 from conftest import rand_locations
 
@@ -109,7 +110,8 @@ class TestBuild:
         G = ws.build(p)
         assert calls == []
         fresh = VecchiaWorkspace(dag).build(p)
-        assert calls == [p]
+        # the blocks read nugget-free correlations; tau2 enters on the diagonal
+        assert calls == [KernelParams(12.0, 0.8, 0.0)]
         assert np.array_equal(G.gamma.data, fresh.gamma.data)
         ws.build(KernelParams(12.0, 0.9, 0.3))
         assert len(calls) == 2
@@ -224,6 +226,73 @@ class TestSolves:
         A = G.gamma.toarray()
         for pos in set(range(1, 60)) - holds_both:  # position 0 has no parents
             assert np.abs(A[pos] - standalone_row(dag, p, pos)).max() <= 1e-10
+
+
+class TestConditioningSolve:
+    """The vectorized Cholesky pass against one np.linalg.solve per block, on
+    Matern blocks with randomly padded parent sets."""
+
+    @staticmethod
+    def blocks(k, N=40, seed=0):
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(size=(80, 2))
+        targets = rng.uniform(size=(N, 2))
+        par = np.array([rng.choice(80, size=k, replace=False) for _ in range(N)],
+                       dtype=np.int64).reshape(N, k)
+        pmask = rng.uniform(size=(N, k)) < 0.7
+        return targets, coords, par, pmask
+
+    @staticmethod
+    def oracle(p, targets, coords, par, pmask):
+        H = np.zeros(par.shape)
+        r = np.empty(len(par))
+        for b in range(len(par)):
+            C = coords[par[b, pmask[b]]]
+            Rpp = matern(np.linalg.norm(C[:, None] - C[None], axis=-1), p)
+            rps = matern(np.linalg.norm(C - targets[b], axis=1), p)
+            H[b, pmask[b]] = np.linalg.solve(Rpp, rps)
+            r[b] = (1.0 + p.tau2) - H[b, pmask[b]] @ rps
+        return H, r
+
+    @staticmethod
+    def solve(p, targets, coords, par, pmask, retry=None):
+        d_unique, idx = conditioning_blocks(targets, coords, par, pmask)
+        rho = matern(d_unique, KernelParams(p.phi, p.nu, 0.0))
+        return conditioning_solve(rho, idx, 1.0 + p.tau2, retry)
+
+    @pytest.mark.parametrize("k", [0, 1, 15])
+    def test_matches_per_block_solve(self, k):
+        p = KernelParams(10.0, 1.0, 0.1)
+        geo = self.blocks(k)
+        h, r = self.solve(p, *geo)
+        h0, r0 = self.oracle(p, *geo)
+        assert h.shape == h0.shape == (40, k)
+        assert np.all(h[~geo[3]] == 0.0)
+        if k:
+            assert np.abs(h - h0).max() <= 1e-12 * np.abs(h0).max()
+        assert np.abs(r - r0).max() <= 1e-12 * r0.max()
+
+    def test_singular_block_retries_its_own_row(self):
+        # block 7 holds two parents at one site and nothing else: with
+        # tau2 = 0 its second pivot is exactly 0, and only its row is retried
+        p = KernelParams(10.0, 1.0, 0.0)
+        targets, coords, par, pmask = self.blocks(15, seed=1)
+        par[7, :2] = par[7, 0]
+        pmask[7] = np.arange(15) < 2
+        retried = []
+        h, r = self.solve(p, targets, coords, par, pmask,
+                          lambda *a: (retried.append(a), (0.0, 0.5))[1])
+        assert [a[-1] for a in retried] == [7]
+        Rpp, rps, one, _ = retried[0]
+        want = np.eye(15)
+        want[0, 1] = want[1, 0] = 1.0
+        assert one == 1.0 and np.array_equal(Rpp, want)
+        assert rps[0] == rps[1] > 0 and np.all(rps[2:] == 0.0)
+        assert np.all(h[7] == 0.0) and r[7] == 0.5
+        keep = np.arange(40) != 7
+        h0, r0 = self.oracle(p, targets[keep], coords, par[keep], pmask[keep])
+        assert np.abs(h[keep] - h0).max() <= 1e-12 * np.abs(h0).max()
+        assert np.abs(r[keep] - r0).max() <= 1e-12 * r0.max()
 
 
 def test_import_leaves_sparse_linalg_unloaded():
