@@ -15,8 +15,8 @@ It takes about 70 s on one core of a 2-vCPU Xeon VM: about 60 s for the
 import numpy as np
 
 from spiox import (IoxModel, KernelParams, LocationSet, OutcomeMatrix,
-                   PosteriorDraw, RunConfig, posterior_predictive, run_chain,
-                   simulate_prior_reference)
+                   PosteriorDraw, PredictionRequest, RunConfig,
+                   posterior_predictive, run_chain, simulate_prior_reference)
 
 rng = np.random.default_rng(12)
 n_train, n_test, q = 400, 120, 3
@@ -46,15 +46,14 @@ model = IoxModel(S, draws[0].theta, draws[0].Sigma, m=15, order_seed=5)
 X_T = np.ones((n_test, 1))
 
 # full-vector prediction
-pred_full = posterior_predictive(T, X_T, draws, data, model,
+pred_full = posterior_predictive(PredictionRequest(T, X_T=X_T), draws, data, model,
                                  np.random.default_rng(1)).mean(axis=0)
 
 # partial: reveal outcomes 1 and 2, predict outcome 3
 y_obs = Y_test.copy()
 y_obs[:, 2] = np.nan
-pred_part = posterior_predictive(T, X_T, draws, data, model,
-                                 np.random.default_rng(2),
-                                 y_obs=y_obs).mean(axis=0)
+pred_part = posterior_predictive(PredictionRequest(T, X_T=X_T, y_obs=y_obs), draws,
+                                 data, model, np.random.default_rng(2)).mean(axis=0)
 
 
 def rmspe(est, truth_vals):

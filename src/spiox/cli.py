@@ -99,7 +99,7 @@ def cmd_fit(config, data_path, out_dir):
     data = OutcomeMatrix(Y, X)
     os.makedirs(out_dir, exist_ok=True)
     s_hash = dataset_hash(S.coords)
-    if config.chains <= 1:
+    if config.chains == 1:
         chain = run_chain(config, data, S)
         write_chain(out_dir, chain, config, s_hash, names)
         text = _write_summary(out_dir, read_chain(out_dir))
@@ -196,7 +196,7 @@ def cmd_predict(chain_dir, data_path, test_path, out_path, quantiles,
     rng = np.random.default_rng(meta["seed"] + 1000 if seed is None else seed)
     fully_missing = bool(np.isnan(Yt).all())
     request = PredictionRequest(T, X_T=X_T, y_obs=Yt, q=meta["q"])
-    preds = posterior_predictive(request, None, draws, data, model, rng,
+    preds = posterior_predictive(request, draws, data, model, rng,
                                  include_noise=not noise_free)
     q = meta["q"]
     qlabels = [f"q{v:g}" for v in quantiles]
@@ -251,7 +251,8 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker threads")
+        p.add_argument("--threads", type=int,
+                       help="how many chains of a chains > 1 fit run at once")
 
     p = sub.add_parser("simulate", help="simulate a dataset from the prior")
     common(p)
@@ -284,14 +285,12 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            config = load_config(args.config)
-        else:
-            config = RunConfig().validate()
-        if getattr(args, "seed", None) is not None:
+        config = load_config(args.config) if args.config else RunConfig()
+        if args.seed is not None:
             config.seed = args.seed
-        if getattr(args, "threads", None) is not None:
+        if args.threads is not None:
             config.threads = args.threads
+        config.validate()
         if args.command == "simulate":
             return cmd_simulate(config, args.out)
         if args.command == "fit":

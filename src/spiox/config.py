@@ -51,7 +51,6 @@ class RunConfig:
     threads: int = 1
     chains: int = 1
     w_update: str = "outcome"
-    pcg_tol: float = 1e-8
     store_w: int = 200
     zero_corr_draws: int = 128
     order_scheme: str = "random"
@@ -97,6 +96,8 @@ class RunConfig:
             raise ValidationError("burn must be <= iters")
         if self.thin < 1:
             raise ValidationError("thin must be >= 1")
+        if self.chains < 1 or self.threads < 1:
+            raise ValidationError("chains and threads must be >= 1")
         if self.vecchia_m < 0:
             raise ValidationError("vecchia_m must be >= 0")
         if self.k1 < 1:
@@ -182,7 +183,6 @@ _KEYMAP = {
     "threads": ("threads", int),
     "chains": ("chains", int),
     "w_update": ("w_update", str),
-    "pcg_tol": ("pcg_tol", float),
     "store_w": ("store_w", int),
     "zero_corr_draws": ("zero_corr_draws", int),
     "order_scheme": ("order_scheme", str),

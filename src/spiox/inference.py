@@ -17,7 +17,6 @@ sequential discrete Gibbs draws.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -154,12 +153,13 @@ class McmcState:
 # conjugate updates
 
 
-def update_sigma(state, V, priors, rng):
-    """Inverse-Wishart full-conditional draw of Sigma given whitened columns V;
-    posterior scale Psi + V^T V with df nu + n. Refreshes Q on the model."""
-    n = 0 if V is None or V.size == 0 else V.shape[0]
-    Psi = priors.sigma_scale + (V.T @ V if n else 0.0)
-    Sigma = draw_inverse_wishart(priors.sigma_df + n, Psi, rng)
+def update_sigma(state, priors, rng):
+    """Inverse-Wishart full-conditional draw of Sigma given the whitened
+    columns state.V; posterior scale Psi + V^T V with df nu + n. Refreshes Q
+    on the model."""
+    V = state.V
+    Sigma = draw_inverse_wishart(priors.sigma_df + V.shape[0],
+                                 priors.sigma_scale + V.T @ V, rng)
     state.model.set_sigma(Sigma)
     return Sigma
 
@@ -177,11 +177,12 @@ def _draw_gaussian_from_precision(P, rhs, rng):
     return mean + _trtrs(R.T, z, lower=0)[0]
 
 
-def update_beta_response(state, data, model, priors, rng):
+def update_beta_response(state, priors, rng):
     """Exact Gaussian draw of beta in the response model. C^{-1} is applied
     through the per-outcome factors (never forming C): the posterior precision
     has (j, r) block Q_jr Xw_j^T Xw_r with Xw_j = L_j^{-1} X."""
-    n, p, q = data.n, data.p, data.q
+    data, model = state.data, state.model
+    p, q = data.p, data.q
     Xw = [model.factor_for(j).whiten(data.X) for j in range(q)]
     Vy = np.column_stack([model.factor_for(j).whiten(data.Y[:, j]) for j in range(q)])
     m0, prec0 = _beta_prior_vecs(priors, p, q)
@@ -202,8 +203,9 @@ def update_beta_response(state, data, model, priors, rng):
     return state.B
 
 
-def update_beta_latent(state, data, priors, rng):
+def update_beta_latent(state, priors, rng):
     """Gaussian draw of beta in the latent model, conditioning on w and Delta."""
+    data = state.data
     p, q = data.p, data.q
     m0, prec0 = _beta_prior_vecs(priors, p, q)
     P = np.zeros((p * q, p * q))
@@ -219,9 +221,10 @@ def update_beta_latent(state, data, priors, rng):
     return state.B
 
 
-def update_delta(state, data, priors, rng):
+def update_delta(state, priors, rng):
     """Independent inverse-gamma draws of the noise variances delta_jj with
     shape a + n/2 and scale b + ||y_j - X beta_j - w_j||^2 / 2."""
+    data = state.data
     resid = data.Y - data.X @ state.B - state.W
     a_post = priors.delta_a + 0.5 * data.n
     b_post = priors.delta_b + 0.5 * (resid ** 2).sum(axis=0)
@@ -326,7 +329,7 @@ def _accept_prob(logr):
     return min(1.0, math.exp(min(logr, 0.0)))
 
 
-def _update_theta_componentwise(c, cols, target, state, model, priors, rng, scales):
+def _update_theta_componentwise(c, cols, target, state, priors, rng, scales):
     """Componentwise adaptive random-walk Metropolis on log(phi), log(nu),
     log(tau2) of component c.
 
@@ -335,7 +338,7 @@ def _update_theta_componentwise(c, cols, target, state, model, priors, rng, scal
     that component c whitens. A factor that fails to build rejects the move.
     Returns the number of accepted component moves.
     """
-    G = state.gp_matrix()
+    model, G = state.model, state.gp_matrix()
     accepted = 0
     for idx, nm in enumerate(free_components(priors)):
         cur = model.theta[c]
@@ -369,7 +372,7 @@ def _update_theta_componentwise(c, cols, target, state, model, priors, rng, scal
     return accepted
 
 
-def update_theta_block(j, state, data, model, priors, rng, scales=None):
+def update_theta_block(j, state, priors, rng, scales=None):
     """Componentwise Metropolis on outcome j's kernel params, targeting
     p(y_j | y_{j^c}, theta) p(theta_j).
 
@@ -377,12 +380,13 @@ def update_theta_block(j, state, data, model, priors, rng, scales=None):
     unclustered model). Returns the number of accepted component moves and
     the component's params.
     """
+    model = state.model
     c = int(model.assignments[j])
     if scales is None:
         scales = AdaptiveScale(dim=len(free_components(priors)))
     accepted = _update_theta_componentwise(
         c, [j], lambda G, V: conditional_loglik(j, V, model),
-        state, model, priors, rng, scales)
+        state, priors, rng, scales)
     return accepted, model.theta[c]
 
 
@@ -396,19 +400,15 @@ def _unpack_log_theta(x, thetas, names):
             for p in thetas]
 
 
-def update_theta_joint(state, data, model, priors, rng, scale=None,
-                       components=None, pool=None):
+def update_theta_joint(state, priors, rng, scale=None):
     """One joint adaptive RWM proposal over the stacked log parameters of all
-    (or the given) components, accepted against the full log-likelihood.
-
-    With a thread pool, candidate factors for the components are rebuilt in
-    parallel (the builds are independent and deterministic).
-    """
+    components, accepted against the full log-likelihood. Returns the accept
+    flag and the components' params."""
+    model = state.model
     names = free_components(priors)
-    comps = list(range(model.k)) if components is None else list(components)
     if scale is None:
-        scale = JointAdaptive(dim=len(names) * len(comps))
-    cur = [model.theta[c] for c in comps]
+        scale = JointAdaptive(dim=len(names) * model.k)
+    cur = list(model.theta)
     x = _pack_log_theta(cur, names)
     x_prop = x + scale.step_vector(rng)
     try:
@@ -422,14 +422,10 @@ def update_theta_joint(state, data, model, priors, rng, scale=None,
     lp_old = sum(_log_prior_transformed(p, priors) for p in cur)
     G = state.gp_matrix()
     ll_old = loglik(G, model, state.V)
-    old_factors = [model.factors[c] for c in comps]
+    old_factors = model.factors
     try:
-        if pool is not None:
-            new_factors = list(pool.map(model._build_factor, prop))
-        else:
-            new_factors = [model._build_factor(p) for p in prop]
-        for c, p, f in zip(comps, prop, new_factors):
-            model.set_theta(c, p, f)
+        for c, p in enumerate(prop):
+            model.set_theta(c, p, model._build_factor(p))
         V_new = whiten_columns(G, model)
         alpha = _accept_prob(loglik(G, model, V_new) - ll_old + lp_new - lp_old)
         ok = rng.random() < alpha
@@ -439,17 +435,17 @@ def update_theta_joint(state, data, model, priors, rng, scale=None,
         state.V = V_new
         scale.update(alpha, x_prop)
     else:
-        for c, p, f in zip(comps, cur, old_factors):
+        for c, (p, f) in enumerate(zip(cur, old_factors)):
             model.set_theta(c, p, f)
         scale.update(alpha, x)
     return ok, model.theta
 
 
-def update_cluster_assignments(state, data, model, priors, rng):
+def update_cluster_assignments(state, rng):
     """Sequential Gibbs scan over outcomes: each pi(j) is drawn from the
     discrete full conditional over the k components, evaluated through the
     single-outcome conditional density under each candidate factor."""
-    G = state.gp_matrix()
+    model, G = state.model, state.gp_matrix()
     n, q, k = model.n, model.q, model.k
     Q = model.Q
     sld = np.array([f.sum_log_diag() for f in model.factors])
@@ -498,7 +494,7 @@ def pcg_solve(matvec, b, diag, tol=1e-8, maxiter=None):
     return x
 
 
-def update_w_single_outcome(j, state, data, model, rng, tol=1e-8, maxiter=None):
+def update_w_single_outcome(j, state, rng):
     """Draw the full latent column w_j from its Gaussian full conditional with
     precision Q_jj rho_j(S)^{-1} + I_n / delta_jj.
 
@@ -506,6 +502,7 @@ def update_w_single_outcome(j, state, data, model, rng, tol=1e-8, maxiter=None):
     obtained by solving against a perturbed right-hand side so the solution is
     an exact sample (up to solver tolerance).
     """
+    data, model = state.data, state.model
     f = model.factor_for(j)
     Q = model.Q
     qjj = Q[j, j]
@@ -522,7 +519,7 @@ def update_w_single_outcome(j, state, data, model, rng, tol=1e-8, maxiter=None):
         def matvec(x):
             return qjj * f.whiten_t(f.whiten(x)) + x / delta
         diag = qjj * f.col_sq + 1.0 / delta
-        w_j = pcg_solve(matvec, rhs + perturb, diag, tol=tol, maxiter=maxiter)
+        w_j = pcg_solve(matvec, rhs + perturb, diag)
     else:
         A = qjj * f.precision + np.eye(n) / delta
         w_j = sla.cho_solve(sla.cho_factor(A, lower=True), rhs + perturb)
@@ -587,13 +584,13 @@ class SiteSweep:
                                    axis=0)                          # (n, q, q)
 
 
-def _update_site_class(cls, state, model, rng, sweep, Up, E):
+def _update_site_class(cls, state, rng, sweep, Up, E):
     """Draw w at every site of one class from the sites' full conditionals;
     the sites' supports must be disjoint, so the draws are independent given
     the rest of w. Writes the draws into state.W and their effect into Up;
     returns the (|class|, q) draws."""
     sites, slots, rows, owners, starts = cls
-    Q = model.Q
+    Q = state.model.Q
     M = sweep.coldata[:, slots].T        # (slots, q): [k, r] = G_r[rows[k], site]
     P = Q * sweep.mmt[sites]             # (c, q, q): P(i, i) of each site
     # row block of P @ w at each site: [c, r] = sum_s Q_rs G_r[:, i] . U_s
@@ -602,7 +599,7 @@ def _update_site_class(cls, state, model, rng, sweep, Up, E):
     w = state.W[idx]
     b = E[sites] / state.Delta - pw + np.einsum("crs,cs->cr", P, w)
     L = np.linalg.cholesky(P + np.diag(1.0 / state.Delta))
-    z = rng.standard_normal((len(sites), model.q))
+    z = rng.standard_normal(b.shape)
     # mean + L^{-T} z = L^{-T} (L^{-1} b + z)
     y = np.linalg.solve(L, b[:, :, None])[:, :, 0]
     draw = np.linalg.solve(L.transpose(0, 2, 1), (y + z)[:, :, None])[:, :, 0]
@@ -611,7 +608,7 @@ def _update_site_class(cls, state, model, rng, sweep, Up, E):
     return draw
 
 
-def update_w_single_site(i, state, data, model, rng, sweep=None, Up=None, E=None):
+def update_w_single_site(i, state, rng, sweep=None, Up=None, E=None):
     """Draw the q-vector w(l_i) (i a DAG position) from its full conditional
     using the Markov blanket: the conditional precision is
     P(i, i) + Delta^{-1} with P(i, i) = Q hadamard [G_r[:, i]^T G_s[:, i]].
@@ -622,23 +619,23 @@ def update_w_single_site(i, state, data, model, rng, sweep=None, Up=None, E=None
     """
     standalone = sweep is None
     if standalone:
-        sweep = SiteSweep(model)
+        sweep = SiteSweep(state.model)
         Up = state.V[sweep.order]
-        E = (data.Y - data.X @ state.B)[sweep.order]
+        E = (state.data.Y - state.data.X @ state.B)[sweep.order]
     one = _site_class(sweep.indptr, sweep.indices, np.array([i]))  # a class of one site
-    draw = _update_site_class(one, state, model, rng, sweep, Up, E)[0]
+    draw = _update_site_class(one, state, rng, sweep, Up, E)[0]
     if standalone:
         state.V[sweep.order] = Up
     return draw
 
 
-def sweep_w_sites(state, data, model, rng, sweep):
+def sweep_w_sites(state, rng, sweep):
     """One full single-site Gibbs sweep: the colour classes in colour order,
     each class one batched draw."""
     Up = state.V[sweep.order]
-    E = (data.Y - data.X @ state.B)[sweep.order]
+    E = (state.data.Y - state.data.X @ state.B)[sweep.order]
     for cls in sweep.classes:
-        _update_site_class(cls, state, model, rng, sweep, Up, E)
+        _update_site_class(cls, state, rng, sweep, Up, E)
     state.V[sweep.order] = Up
 
 
@@ -758,8 +755,8 @@ def _initial_state(config, data, S, priors, free):
 
 
 class Sampler:
-    """One MCMC chain: the state, the adaptation scales, the optional thread
-    pool, the draw buffers and the named steps of one scan.
+    """One MCMC chain: the state, the adaptation scales, the draw buffers and
+    the named steps of one scan.
 
     Scan order: theta (not for a fixed grid of kernels, nor when every prior
     box has zero width), cluster assignments
@@ -788,7 +785,6 @@ class Sampler:
         self.block_scales = [AdaptiveScale(dim=len(self.free), target=0.44)
                              for _ in range(k)]
         self.sweep = SiteSweep(model) if self.latent and config.w_update == "site" else None
-        self.pool = None  # a thread pool for factor rebuilds while run() runs
 
         # stored iterations are burn, burn + thin, ... below iters
         n_stored = len(range(config.burn, config.iters, config.thin))
@@ -824,8 +820,8 @@ class Sampler:
     # -- steps ---------------------------------------------------------------
 
     def theta_joint(self):
-        ok, _ = update_theta_joint(self.state, self.data, self.model, self.priors,
-                                   self.rng, scale=self.joint_scale, pool=self.pool)
+        ok, _ = update_theta_joint(self.state, self.priors, self.rng,
+                                   scale=self.joint_scale)
         self.acc["theta_proposals"] += 1
         self.acc["theta_accepts"] += int(ok)
 
@@ -836,43 +832,38 @@ class Sampler:
         model, acc, n_free = self.model, self.acc, len(self.free)
         for c in range(model.k):
             if self.config.theta_mode == "full":
-                a, _ = update_theta_block(c, self.state, self.data, model, self.priors,
-                                          self.rng, scales=self.block_scales[c])
+                a, _ = update_theta_block(c, self.state, self.priors, self.rng,
+                                          scales=self.block_scales[c])
             else:
                 a = _update_theta_componentwise(
                     c, np.flatnonzero(model.assignments == c),
                     lambda G, V: loglik(G, model, V),
-                    self.state, model, self.priors, self.rng, self.block_scales[c])
+                    self.state, self.priors, self.rng, self.block_scales[c])
             acc["theta_proposals"] += n_free
             acc["theta_accepts"] += a
             acc["block_proposals"][c] += n_free
             acc["block_accepts"][c] += a
 
     def pi(self):
-        update_cluster_assignments(self.state, self.data, self.model, self.priors,
-                                   self.rng)
+        update_cluster_assignments(self.state, self.rng)
 
     def sigma(self):
-        update_sigma(self.state, self.state.V, self.priors, self.rng)
+        update_sigma(self.state, self.priors, self.rng)
 
     def beta(self):
-        if self.latent:
-            update_beta_latent(self.state, self.data, self.priors, self.rng)
-        else:
-            update_beta_response(self.state, self.data, self.model, self.priors,
-                                 self.rng)
+        update = update_beta_latent if self.latent else update_beta_response
+        update(self.state, self.priors, self.rng)
 
     def w(self):
         if self.sweep is not None:
             self.sweep.refresh(self.model)
-            sweep_w_sites(self.state, self.data, self.model, self.rng, self.sweep)
+            sweep_w_sites(self.state, self.rng, self.sweep)
             return
         for j in range(self.data.q):
-            update_w_single_outcome(j, self.state, self.data, self.model, self.rng,
-                                    tol=self.config.pcg_tol)
+            update_w_single_outcome(j, self.state, self.rng)
 
     def delta(self):
-        update_delta(self.state, self.data, self.priors, self.rng)
+        update_delta(self.state, self.priors, self.rng)
 
     def store(self):
         burn, it = self.config.burn, self.it
@@ -899,26 +890,20 @@ class Sampler:
 
     def run(self):
         """Run every iteration and return the Chain."""
-        if self.config.threads > 1 and self.model.is_vecchia:
-            self.pool = ThreadPoolExecutor(max_workers=self.config.threads)
-        try:
-            for it in range(self.config.iters):
-                self.it = it
-                for name, step in self.steps:
-                    t0 = time.perf_counter()
-                    try:
-                        step()
-                    except NumericalError as e:
-                        raise NumericalError(
-                            f"iteration {it}, component {name}: {e}") from e
-                    self.timings[name] += time.perf_counter() - t0
-                if it == self.config.burn - 1:  # adaptation ends with burn-in
-                    self.joint_scale.frozen = True
-                    for sc in self.block_scales:
-                        sc.frozen = True
-        finally:
-            if self.pool is not None:
-                self.pool.shutdown(wait=False)
+        for it in range(self.config.iters):
+            self.it = it
+            for name, step in self.steps:
+                t0 = time.perf_counter()
+                try:
+                    step()
+                except NumericalError as e:
+                    raise NumericalError(
+                        f"iteration {it}, component {name}: {e}") from e
+                self.timings[name] += time.perf_counter() - t0
+            if it == self.config.burn - 1:  # adaptation ends with burn-in
+                self.joint_scale.frozen = True
+                for sc in self.block_scales:
+                    sc.frozen = True
 
         # scan-invariant sanity: Sigma stayed SPD, Delta positive
         np.linalg.cholesky(self.model.Sigma)

@@ -135,7 +135,7 @@ class IoxModel:
             raise ValidationError("m must be >= 0")
         self.is_vecchia = self.m > 0
         self._factors = [None] * len(self.theta)
-        self._set_sigma(Sigma)
+        self.set_sigma(Sigma)
         self._pred_cache = {}
 
     @cached_property
@@ -166,7 +166,8 @@ class IoxModel:
             return self.workspace.build(p)
         return dense_chol_factor(self.S, p)
 
-    def _set_sigma(self, Sigma):
+    def set_sigma(self, Sigma):
+        Sigma = np.asarray(Sigma, dtype=float)
         # np.allclose(Sigma, Sigma.T, atol=1e-10) for finite entries, cheaper
         if not np.all(np.abs(Sigma - Sigma.T) <= 1e-10 + 1e-5 * np.abs(Sigma.T)):
             raise ValidationError("Sigma must be symmetric")
@@ -178,9 +179,6 @@ class IoxModel:
         Q = _potrs(c, np.eye(Sigma.shape[0]), lower=1)[0]
         self.Q = 0.5 * (Q + Q.T)
         self.chol_sigma = np.tril(c)
-
-    def set_sigma(self, Sigma):
-        self._set_sigma(np.asarray(Sigma, dtype=float))
 
     def set_theta(self, c, p, factor=None):
         """Replace component c's kernel params. ``factor`` is its factor under

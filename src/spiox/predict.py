@@ -29,32 +29,29 @@ class PosteriorDraw:
 
 
 class PredictionRequest:
-    """Test sites plus optional predictors and partially observed outcomes.
+    """Test sites (an N x d coordinate array) plus optional predictors and
+    partially observed outcomes.
 
-    ``y_obs`` is an N x q array with NaN marking the entries to predict; None
-    (or all-NaN) requests full-vector prediction everywhere. Sites may overlap
-    the reference set.
+    ``X_T`` defaults to an intercept column. ``y_obs`` is an N x q array with
+    NaN marking the entries to predict; None (or all-NaN) requests
+    full-vector prediction everywhere. Sites may overlap the reference set.
     """
 
-    def __init__(self, T, X_T=None, y_obs=None, q=None):
-        self.T = T if hasattr(T, "coords") else np.atleast_2d(np.asarray(T, dtype=float))
-        N = self.T.coords.shape[0] if hasattr(self.T, "coords") else self.T.shape[0]
+    def __init__(self, coords, X_T=None, y_obs=None, q=None):
+        self.coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        N = self.coords.shape[0]
         self.X_T = np.ones((N, 1)) if X_T is None else np.atleast_2d(X_T)
         if self.X_T.shape[0] != N:
-            raise ValidationError("X_T row count does not match T")
+            raise ValidationError("X_T row count does not match coords")
         self.y_obs = None
         if y_obs is not None:
             y_obs = np.atleast_2d(np.asarray(y_obs, dtype=float))
             if y_obs.shape[0] != N:
-                raise ValidationError("y_obs row count does not match T")
+                raise ValidationError("y_obs row count does not match coords")
             if q is not None and y_obs.shape[1] != q:
                 raise ValidationError("y_obs column count does not match q")
             if not np.isnan(y_obs).all():
                 self.y_obs = y_obs
-
-    @property
-    def coords(self):
-        return self.T.coords if hasattr(self.T, "coords") else self.T
 
 
 def apply_draw(model, draw):
@@ -274,14 +271,14 @@ def simulate_prior_nonreference(T, model, rng):
     return mean + D * Z
 
 
-def posterior_predictive(T, X_T, draws, data, model, rng, include_noise=True,
-                         y_obs=None, max_draws=None):
-    """Predictive draws at every site of T for a sequence of posterior draws.
+def posterior_predictive(request, draws, data, model, rng, include_noise=True):
+    """Predictive draws at every site of a PredictionRequest for a sequence
+    of posterior draws.
 
-    ``T`` may be a PredictionRequest (then X_T/y_obs are taken from it).
     Returns an (n_draws, N, q) array; entries for observed outcomes (through
-    ``y_obs``, NaN = missing) are carried through unchanged so summaries can
-    mask them. Each posterior draw re-anchors the model's parameters.
+    ``request.y_obs``, NaN = missing) are carried through unchanged so
+    summaries can mask them. Each posterior draw re-anchors the model's
+    parameters.
 
     Each draw makes one pass over all sites: one ``h_r_compact`` call per
     outcome, then fully missing rows from the full-vector formula and the
@@ -289,22 +286,16 @@ def posterior_predictive(T, X_T, draws, data, model, rng, include_noise=True,
     missingness pattern. A draw's standard normals come from one
     ``rng.standard_normal`` call, laid out site by site in row order.
     """
-    if isinstance(T, PredictionRequest):
-        X_T = T.X_T
-        y_obs = T.y_obs
-        Tc = T.coords
-    else:
-        Tc = T.coords if hasattr(T, "coords") else np.atleast_2d(np.asarray(T, dtype=float))
+    Tc, X_T, y_obs = request.coords, request.X_T, request.y_obs
     N = Tc.shape[0]
     q = model.q
-    use = draws if max_draws is None else draws[:max_draws]
-    out = np.empty((len(use), N, q))
+    out = np.empty((len(draws), N, q))
     if y_obs is not None:
         miss = np.isnan(y_obs)
         full = miss.all(axis=1)
         part = miss.any(axis=1) & ~full
         coin = model._pred_geometry(Tc)["coin"]
-    for di, draw in enumerate(use):
+    for di, draw in enumerate(draws):
         apply_draw(model, draw)
         mean, r = _site_mean_r(Tc, X_T, draw, data, model)
         width = _noise_width(draw, include_noise)

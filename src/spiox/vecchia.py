@@ -311,8 +311,8 @@ class VecchiaWorkspace:
         self.dest_par = dest
         self.dest_self = self_slot
         # last (phi, nu) and its nugget-free correlations of d_unique, which
-        # a tau2-only change reuses. One tuple, so that concurrent builds
-        # never pair one key with another's values
+        # a tau2-only change reuses. Builds on one workspace run one at a
+        # time: each chain's model owns its own workspace
         self._rho_memo = (None, None)
 
     def build(self, p):

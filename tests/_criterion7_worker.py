@@ -40,10 +40,10 @@ def run(kind, seed):
     batch = SWEEPS // 20
     for it in range(BURN + SWEEPS):
         if kind == "site":
-            sweep_w_sites(state, data, model, rng, sweep)
+            sweep_w_sites(state, rng, sweep)
         else:
             for j in range(q):
-                update_w_single_outcome(j, state, data, model, rng)
+                update_w_single_outcome(j, state, rng)
         if it >= BURN:
             acc += state.W
             if (it - BURN + 1) % batch == 0:

@@ -29,8 +29,8 @@ from spiox.ioxcore import (IoxModel, OutcomeMatrix, conditional_loglik,
                            cross_cov_set, loglik, whiten_columns,
                            zero_distance_cross_corr)
 from spiox.kernels import KernelParams, corr_matrix
-from spiox.predict import (PosteriorDraw, posterior_predictive, _site_moments,
-                           simulate_prior_reference)
+from spiox.predict import (PosteriorDraw, PredictionRequest, posterior_predictive,
+                           _site_moments, simulate_prior_reference)
 
 from conftest import dense_iox_cov, mvn_logpdf, rand_locations, rand_spd
 
@@ -262,7 +262,7 @@ def test_criterion_5_sampler_moments():
     state = McmcState(model, data, B=np.zeros((1, q2)),
                       Delta=np.ones(q2), W=Y * 0.5)
     pr = Priors(delta_a=2.5, delta_b=0.8).validate(q2)
-    dl = np.array([update_delta(state, data, pr, rng) for _ in range(n_draw)])
+    dl = np.array([update_delta(state, pr, rng) for _ in range(n_draw)])
     resid = data.Y - state.W
     target = (0.8 + 0.5 * (resid ** 2).sum(axis=0)) / (2.5 + n / 2 - 1)
     se = dl.std(axis=0) / math.sqrt(n_draw)
@@ -270,7 +270,8 @@ def test_criterion_5_sampler_moments():
     # conjugate Sigma update
     V = np.random.default_rng(2).standard_normal((n, q2))
     pr2 = Priors(sigma_df=q2 + 3.0).validate(q2)
-    sg = np.array([update_sigma(state, V, pr2, rng) for _ in range(n_draw)])
+    state.V = V
+    sg = np.array([update_sigma(state, pr2, rng) for _ in range(n_draw)])
     target_s = (pr2.sigma_scale + V.T @ V) / (q2 + 3.0 + n - q2 - 1)
     se = sg.std(axis=0) / math.sqrt(n_draw)
     assert np.all(np.abs(sg.mean(axis=0) - target_s) <= 4 * se)
@@ -284,8 +285,7 @@ def test_criterion_5_sampler_moments():
     data3 = OutcomeMatrix(Y3)
     state3 = McmcState(model3, data3, B=np.zeros((1, q3)))
     pr3 = Priors(beta_mean=0.5, beta_var=4.0).validate(q3)
-    bs = np.array([update_beta_response(state3, data3, model3, pr3, rng)
-                   for _ in range(n_draw)])
+    bs = np.array([update_beta_response(state3, pr3, rng) for _ in range(n_draw)])
     C3 = dense_iox_cov(S3, th3, Sg3)
     Xq = np.kron(np.eye(q3), data3.X)
     Ci = np.linalg.inv(C3)
@@ -433,7 +433,8 @@ def test_criterion_9_prediction_beats_nonspatial():
                                   for j in range(q)])
              for i in keep]
     model = IoxModel(S, draws[0].theta, draws[0].Sigma, m=15, order_seed=17)
-    pred = posterior_predictive(T, np.ones((n_test, 1)), draws, data, model,
+    request = PredictionRequest(T, X_T=np.ones((n_test, 1)))
+    pred = posterior_predictive(request, draws, data, model,
                                 np.random.default_rng(5)).mean(axis=0)
     rmspe_spatial = float(np.sqrt(np.mean((pred - Y_test) ** 2)))
     base = np.tile(Y.mean(axis=0), (n_test, 1))

@@ -347,7 +347,10 @@ class TestExitCodes:
         ("fit", "prior.sigma_scale = 0\n", 2),
         ("fit", "prior.sigma_scale = -1\n", 2),
         ("fit", "vecchia_m = 15\n", 0),
-    ], ids=["sim_d_0", "sigma_scale_0", "sigma_scale_neg", "twin_default"])
+        ("fit", "chains = 0\n", 2),
+        ("fit", "threads = 0\n", 2),
+    ], ids=["sim_d_0", "sigma_scale_0", "sigma_scale_neg", "twin_default",
+            "chains_0", "threads_0"])
     def test_exit_code(self, twin_file, tmp_path, capsys, command, text, code):
         cfg = tmp_path / "c.cfg"
         write(cfg, text + "iters = 3\nburn = 1\n")
@@ -364,6 +367,14 @@ class TestExitCodes:
             _, sigma = read_table(tmp_path / "out" / "sigma.csv")
             diag = sigma[:, [1, 3]]
             assert np.all(np.isfinite(sigma)) and np.all((diag > 0.1) & (diag < 10.0))
+
+    def test_threads_flag_validated(self, twin_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(twin_file), "--out", str(out),
+                     "--threads", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "threads" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_twin_sites_predict(self, twin_file, tmp_path):
         cfg = tmp_path / "fit.cfg"
@@ -433,6 +444,21 @@ class TestLatentCli:
         b = open(out / "chain_1" / "theta.csv").read()
         assert a != b  # independent sub-streams
 
+    def test_chain_threads_same_files(self, sim_file, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        write(cfg, FIT_CFG + "chains = 2\n")
+        outs = {}
+        for threads in ("1", "2"):
+            out = outs[threads] = tmp_path / f"threads{threads}"
+            assert main(["fit", "--config", str(cfg), "--data", str(sim_file),
+                         "--out", str(out), "--threads", threads]) == 0
+        for i in range(2):
+            names = sorted(p.name for p in (outs["1"] / f"chain_{i}").glob("*.csv"))
+            assert "theta.csv" in names
+            for name in names:
+                assert (outs["1"] / f"chain_{i}" / name).read_bytes() == \
+                    (outs["2"] / f"chain_{i}" / name).read_bytes(), name
+
 
 class TestSummarize:
     def test_single_draw_chain(self, sim_file, tmp_path):
@@ -490,7 +516,7 @@ class TestHelpers:
 
     def test_unknown_config_key(self):
         for text in ("modle = response\n", "predict.quantiles = 0.1, 0.9\n",
-                     "predict.max_draws = 1\n"):
+                     "predict.max_draws = 1\n", "pcg_tol = 1e-8\n"):
             with pytest.raises(ValidationError, match="unknown key"):
                 parse_config(text)
 

@@ -26,7 +26,6 @@ BASE = {"vecchia_m": 6, "iters": 24, "burn": 12, "thin": 2, "seed": 7,
         "store_w": 3, "zero_corr_draws": 3}
 CASES = {
     "joint": {},
-    "joint_threads2": {"threads": 2},
     "block": {"theta_update": "block", "thin": 1},
     "cluster": {"theta_mode": "cluster", "k1": 2},
     "grid": {"theta_mode": "grid", "grid_nu_values": [0.5, 1.5]},

@@ -105,7 +105,7 @@ def predictions(case):
     T, X_T, y_obs, _ = request_rows(S)
     request = PredictionRequest(T, X_T=X_T, y_obs=y_obs if req == "cokrige" else None,
                                 q=Q)
-    return posterior_predictive(request, None, draws, data, model,
+    return posterior_predictive(request, draws, data, model,
                                 np.random.default_rng(99), include_noise=noise)
 
 
@@ -132,7 +132,7 @@ def test_zero_observed_r_off_reference_names_first_site(kind, m):
     first = np.flatnonzero(miss.any(axis=1) & ~miss.all(axis=1) & ~on_ref)[0]
     request = PredictionRequest(T, X_T=X_T, y_obs=y_obs, q=Q)
     with pytest.raises(NumericalError, match=re.escape(str(T[first].tolist()))):
-        posterior_predictive(request, None, draws, data, model,
+        posterior_predictive(request, draws, data, model,
                              np.random.default_rng(99))
 
 

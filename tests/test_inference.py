@@ -105,8 +105,8 @@ class TestSigmaUpdate:
         model, data, state, *_ = small_problem()
         pr = Priors(sigma_df=6.0).validate(2)
         rng = np.random.default_rng(3)
-        draws = np.array([update_sigma(state, np.empty((0, 2)), pr, rng)
-                          for _ in range(30000)])
+        state.V = np.empty((0, 2))
+        draws = np.array([update_sigma(state, pr, rng) for _ in range(30000)])
         target = pr.sigma_scale / (6.0 - 2 - 1)
         se = draws.std(axis=0) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * se)
@@ -116,7 +116,8 @@ class TestSigmaUpdate:
         V = np.random.default_rng(4).standard_normal((10, 2))
         pr = Priors(sigma_df=7.0).validate(2)
         rng = np.random.default_rng(5)
-        draws = np.array([update_sigma(state, V, pr, rng) for _ in range(100000)])
+        state.V = V
+        draws = np.array([update_sigma(state, pr, rng) for _ in range(100000)])
         target = (pr.sigma_scale + V.T @ V) / (7.0 + 10 - 2 - 1)
         se = draws.std(axis=0) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * se)
@@ -129,7 +130,8 @@ class TestSigmaUpdate:
         V[n // 2:, 1] = np.sqrt(float(n))
         pr = Priors(sigma_df=q + 2.0).validate(q)
         rng = np.random.default_rng(6)
-        draws = np.array([update_sigma(state, V, pr, rng) for _ in range(3000)])
+        state.V = V
+        draws = np.array([update_sigma(state, pr, rng) for _ in range(3000)])
         m = draws.mean(axis=0)
         assert abs(m[0, 1]) < m[0, 0] and abs(m[0, 1]) < m[1, 1]
 
@@ -160,7 +162,7 @@ class TestBetaUpdates:
         pr = Priors(beta_mean=0.0, beta_var=25.0).validate(q)
         mean_o, cov_o = self._dense_beta_oracle(data, S, thetas, Sigma, pr)
         # zero-noise draw returns the posterior mean
-        B = update_beta_response(state, data, model, pr, SeqRng())
+        B = update_beta_response(state, pr, SeqRng())
         assert np.abs(B.T.ravel() - mean_o).max() <= 1e-8
         # unit-vector draws expose the Cholesky factor: columns of R^{-T}
         pq = 2 * q
@@ -168,7 +170,7 @@ class TestBetaUpdates:
         for k in range(pq):
             z = np.zeros(pq)
             z[k] = 1.0
-            Bk = update_beta_response(state, data, model, pr, SeqRng([z]))
+            Bk = update_beta_response(state, pr, SeqRng([z]))
             cols.append(Bk.T.ravel() - mean_o)
         F = np.column_stack(cols)
         assert np.abs(F @ F.T - cov_o).max() <= 1e-8
@@ -185,7 +187,7 @@ class TestBetaUpdates:
         data = OutcomeMatrix(Y, X)
         state = McmcState(model, data, B=np.zeros((2, 1)))
         pr = Priors(beta_var=1e8).validate(q)
-        B = update_beta_response(state, data, model, pr, SeqRng())
+        B = update_beta_response(state, pr, SeqRng())
         from conftest import dense_iox_cov as dc
         C = dc(S, thetas, np.array([[2.0]]))
         gls = np.linalg.solve(X.T @ np.linalg.solve(C, X),
@@ -201,10 +203,10 @@ class TestBetaUpdates:
                              X=np.zeros((n, 1)))
         state = McmcState(model, data, B=np.zeros((1, q)))
         pr = Priors(beta_mean=3.0, beta_var=4.0).validate(q)
-        B = update_beta_response(state, data, model, pr, SeqRng())
+        B = update_beta_response(state, pr, SeqRng())
         assert np.abs(B - 3.0).max() <= 1e-10
         z = np.array([1.0, 0.0])
-        B1 = update_beta_response(state, data, model, pr, SeqRng([z]))
+        B1 = update_beta_response(state, pr, SeqRng([z]))
         assert B1.T.ravel()[0] - 3.0 == pytest.approx(2.0, rel=1e-9)
 
     def test_latent_beta_conjugacy(self):
@@ -213,7 +215,7 @@ class TestBetaUpdates:
         model, data, state, S, thetas, Sigma = small_problem(
             n=n, q=q, seed=11, latent=True)
         pr = Priors(beta_mean=0.0, beta_var=9.0).validate(q)
-        B = update_beta_latent(state, data, pr, SeqRng())
+        B = update_beta_latent(state, pr, SeqRng())
         for j in range(q):
             prec = 1.0 / 9.0 + float(data.X[:, 0] @ data.X[:, 0]) / state.Delta[j]
             rhs = float(data.X[:, 0] @ (data.Y[:, j] - state.W[:, j])) / state.Delta[j]
@@ -226,7 +228,7 @@ class TestThetaUpdates:
         pr = default_priors(model.S, 2)
         theta_before = model.theta[0]
         # zero-step proposals keep theta (up to log/exp round-trip), ratio 1
-        acc, th = update_theta_block(0, state, data, model, pr, SeqRng(uniform=0.0))
+        acc, th = update_theta_block(0, state, pr, SeqRng(uniform=0.0))
         assert acc == 3
         assert th.phi == pytest.approx(theta_before.phi, rel=1e-15)
         assert th.nu == pytest.approx(theta_before.nu, rel=1e-15)
@@ -236,16 +238,14 @@ class TestThetaUpdates:
         model, data, state, *_ = small_problem(seed=13)
         pr = default_priors(model.S, 2)
         big = [np.array(50.0)] * 6
-        acc, th = update_theta_block(0, state, data, model, pr,
-                                     SeqRng(normals=big, uniform=0.0))
+        acc, th = update_theta_block(0, state, pr, SeqRng(normals=big, uniform=0.0))
         assert acc == 0
 
     def test_block_rebuilds_factor_on_accept(self):
         model, data, state, *_ = small_problem(seed=14)
         pr = default_priors(model.S, 2)
         f_before = model.factors[0]
-        acc, _ = update_theta_block(0, state, data, model, pr,
-                                    np.random.default_rng(3))
+        acc, _ = update_theta_block(0, state, pr, np.random.default_rng(3))
         if acc:
             assert model.factors[0] is not f_before
         assert state.check_V(1e-10)
@@ -253,7 +253,7 @@ class TestThetaUpdates:
     def test_joint_accept_updates_all(self):
         model, data, state, *_ = small_problem(seed=15)
         pr = default_priors(model.S, 2)
-        ok, _ = update_theta_joint(state, data, model, pr, SeqRng(uniform=0.0))
+        ok, _ = update_theta_joint(state, pr, SeqRng(uniform=0.0))
         assert ok  # identical proposal accepted with probability 1
         assert state.check_V(1e-10)
 
@@ -303,8 +303,7 @@ class TestThetaUpdates:
         total = accepted = 0
         for it in range(400):
             for j in range(q):
-                a, _ = update_theta_block(j, state, data, model, pr, rng,
-                                          scales=scales[j])
+                a, _ = update_theta_block(j, state, pr, rng, scales=scales[j])
                 if it >= 200:
                     accepted += a
                     total += 3
@@ -331,19 +330,19 @@ class TestLatentUpdates:
         yj = data.Y[:, j] - data.X @ state.B[:, j]
         obs_val = np.concatenate([wvec[np.setdiff1d(np.arange(nq), jm)], yj])
         mis, cmean, ccov = mvn_condition(np.zeros(nq + n), joint, obs_idx, obs_val)
-        w_draw = update_w_single_outcome(j, state, data, model, SeqRng())
+        w_draw = update_w_single_outcome(j, state, SeqRng())
         assert np.abs(w_draw - cmean).max() <= 1e-6
         assert state.check_V(1e-9)
 
     def test_w_outcome_interpolation_limits(self):
         model, data, state, *_ = small_problem(n=10, q=2, seed=18, latent=True)
         state.Delta = np.array([1e-12, 1e-12])
-        w = update_w_single_outcome(0, state, data, model, SeqRng())
+        w = update_w_single_outcome(0, state, SeqRng())
         resid = data.Y[:, 0] - data.X @ state.B[:, 0]
         assert np.abs(w - resid).max() <= 1e-4
         # delta -> infinity reverts to the prior conditional mean
         state.Delta = np.array([1e12, 1e12])
-        w_inf = update_w_single_outcome(0, state, data, model, SeqRng())
+        w_inf = update_w_single_outcome(0, state, SeqRng())
         Q = model.Q
         s = state.V @ Q[:, 0] - Q[0, 0] * state.V[:, 0]
         f = model.factor_for(0)
@@ -367,7 +366,7 @@ class TestLatentUpdates:
         delta = 0.4
         state = McmcState(model, data, B=np.zeros((1, 1)),
                           Delta=np.array([delta]), W=Y.copy())
-        w = update_w_single_site(0, state, data, model, SeqRng())
+        w = update_w_single_site(0, state, SeqRng())
         prec = 1.0 / sigma11 + 1.0 / delta
         expect = (Y[0, 0] / delta) / prec
         assert w[0] == pytest.approx(expect, abs=1e-10)
@@ -376,7 +375,7 @@ class TestLatentUpdates:
         model, data, state, *_ = small_problem(n=15, q=2, seed=21, latent=True,
                                                m=5)
         sweep = SiteSweep(model)
-        sweep_w_sites(state, data, model, np.random.default_rng(4), sweep)
+        sweep_w_sites(state, np.random.default_rng(4), sweep)
         assert state.check_V(1e-9)
 
     @pytest.mark.parametrize("m", [5, 15])
@@ -405,7 +404,7 @@ class TestLatentUpdates:
         rng = np.random.default_rng(6)
         Z = [rng.standard_normal((len(cls[0]), 3)) for cls in sweep.classes]
         W0, V0 = state.W.copy(), state.V.copy()
-        sweep_w_sites(state, data, model, SeqRng(Z), sweep)
+        sweep_w_sites(state, SeqRng(Z), sweep)
         W_class, V_class = state.W.copy(), state.V.copy()
 
         state.W, state.V = W0.copy(), V0.copy()
@@ -413,7 +412,7 @@ class TestLatentUpdates:
         E = (data.Y - data.X @ state.B)[sweep.order]
         for cls, z in zip(sweep.classes, Z):
             for i, zi in zip(cls[0], z):
-                update_w_single_site(int(i), state, data, model, SeqRng([zi]),
+                update_w_single_site(int(i), state, SeqRng([zi]),
                                      sweep=sweep, Up=Up, E=E)
         state.V[sweep.order] = Up
         assert np.abs(W_class - state.W).max() <= 1e-12
@@ -438,7 +437,7 @@ class TestLatentUpdates:
         pr = Priors(delta_a=2.0, delta_b=1.0).validate(2)
         state.W = data.Y.copy()  # residual exactly zero
         rng = np.random.default_rng(5)
-        draws = np.array([update_delta(state, data, pr, rng) for _ in range(100000)])
+        draws = np.array([update_delta(state, pr, rng) for _ in range(100000)])
         mean = 1.0 / (2.0 + 15.0 - 1.0)
         se = draws.std(axis=0) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4 * se)
@@ -450,9 +449,9 @@ class TestLatentUpdates:
         resid = np.random.default_rng(7).standard_normal(20)
         state.W = data.Y - resid[:, None]
         a_post = 3.0 + 10.0
-        d1 = np.array([update_delta(state, data, pr, rng1)[0] for _ in range(60000)])
+        d1 = np.array([update_delta(state, pr, rng1)[0] for _ in range(60000)])
         state.W = data.Y - 2.0 * resid[:, None]
-        d2 = np.array([update_delta(state, data, pr, rng2)[0] for _ in range(60000)])
+        d2 = np.array([update_delta(state, pr, rng2)[0] for _ in range(60000)])
         b1 = d1.mean() * (a_post - 1) - 0.5
         b2 = d2.mean() * (a_post - 1) - 0.5
         assert b2 / b1 == pytest.approx(4.0, rel=0.05)
@@ -485,9 +484,7 @@ class TestClusterUpdates:
                          assignments=np.zeros(q, dtype=int))
         data = OutcomeMatrix(np.random.default_rng(8).standard_normal((n, q)))
         state = McmcState(model, data, B=np.zeros((1, q)))
-        pr = default_priors(S, q)
-        pi = update_cluster_assignments(state, data, model, pr,
-                                        np.random.default_rng(9))
+        pi = update_cluster_assignments(state, np.random.default_rng(9))
         assert np.all(pi == 0)
 
     def test_identical_candidates_uniform(self):
@@ -498,12 +495,11 @@ class TestClusterUpdates:
                          assignments=np.zeros(1, dtype=int))
         data = OutcomeMatrix(np.random.default_rng(10).standard_normal((n, 1)))
         state = McmcState(model, data, B=np.zeros((1, 1)))
-        pr = default_priors(S, 1)
         rng = np.random.default_rng(11)
         counts = np.zeros(3)
         reps = 3000
         for _ in range(reps):
-            pi = update_cluster_assignments(state, data, model, pr, rng)
+            pi = update_cluster_assignments(state, rng)
             counts[pi[0]] += 1
         freq = counts / reps
         assert np.abs(freq - 1 / 3).max() <= 4 * np.sqrt((1 / 3) * (2 / 3) / reps)
@@ -526,8 +522,8 @@ class TestClusterUpdates:
         pr = default_priors(S, q)
         tallies = np.zeros((q, 2))
         for it in range(60):
-            pi = update_cluster_assignments(state, data, model, pr, rng)
-            update_sigma(state, state.V, pr, rng)
+            pi = update_cluster_assignments(state, rng)
+            update_sigma(state, pr, rng)
             if it >= 20:
                 for j in range(q):
                     tallies[j, pi[j]] += 1

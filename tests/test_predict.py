@@ -401,8 +401,7 @@ class TestPredictionRequest:
         T = np.array([[0.5, 0.5], [0.1, 0.9]])
         y_obs = np.array([[np.nan, 0.4], [np.nan, np.nan]])
         req = PredictionRequest(T, y_obs=y_obs, q=2)
-        out = posterior_predictive(req, None, [draw], data, model,
-                                   np.random.default_rng(0))
+        out = posterior_predictive(req, [draw], data, model, np.random.default_rng(0))
         assert out.shape == (1, 2, 2)
         assert out[0, 0, 1] == 0.4  # observed value carried through
 
