@@ -83,7 +83,10 @@ def _write_summary(outdir, files, quantiles=(0.025, 0.975)):
     lines.append("")
     lines.append(f"draws: {meta['n_draws']}  iters: {meta['iters']}  "
                  f"burn: {meta['burn']}  thin: {meta['thin']}")
-    lines.append(f"theta acceptance rate: {meta.get('acceptance_rate', float('nan')):.3f}")
+    acc = meta.get("acceptance", {})
+    lines.append(f"theta acceptance rate: {meta.get('acceptance_rate', float('nan')):.3f}"
+                 f"  stage-2 runs: {acc.get('theta_stage2_runs', 'n/a')}"
+                 f"  failed builds: {acc.get('theta_build_failures', 'n/a')}")
     lines.append("update timings (s): " + json.dumps(meta.get("timings_sec", {})))
     text = "\n".join(lines) + "\n"
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:

@@ -8,7 +8,8 @@ Implements the Gibbs/Metropolis updates for both observation models:
 
 beta and Sigma have conjugate Gaussian / inverse-Wishart full conditionals;
 kernel parameters move by adaptive random-walk Metropolis (componentwise
-blocks or one joint proposal); the latent field w is updated either one
+blocks, or one joint proposal screened by delayed acceptance on the Vecchia
+path); the latent field w is updated either one
 outcome column at a time (sparse precision solves) or one site at a time
 (q x q full conditionals read off the sparse factors, drawn for a whole colour
 class of conditionally independent sites at once); cluster assignments get
@@ -329,16 +330,58 @@ def _accept_prob(logr):
     return min(1.0, math.exp(min(logr, 0.0)))
 
 
-def _update_theta_componentwise(c, cols, target, state, priors, rng, scales):
+def _new_counts():
+    """Event counters of the kernel-parameter steps (see :func:`_two_stage_accept`)."""
+    return {"theta_stage2_runs": 0, "theta_build_failures": 0}
+
+
+def _two_stage_accept(rng, stage1, stage2, counts):
+    """Metropolis decision on one symmetric proposal x -> y, with delayed
+    acceptance when ``stage1`` is given (Christen & Fox 2005).
+
+    ``stage1()`` returns the surrogate's log ratio log pi1(y) - log pi1(x)
+    and ``stage2()`` the target's log pi(y) - log pi(x), both with the prior
+    terms. Stage 1 accepts with min(1, pi1(y) / pi1(x)); only a survivor runs
+    stage 2, which accepts with min(1, pi(y) pi1(x) / (pi(x) pi1(y))), so pi
+    stays the stationary law. Without ``stage1`` the step is plain
+    Metropolis on pi. A NumericalError (a factor that fails to build) rejects.
+
+    Returns (accepted, alpha): alpha is the acceptance probability of the
+    last stage that ran (0 after a stage-1 rejection or a failed build), so
+    its mean is the overall acceptance rate. ``counts`` gains one
+    ``theta_stage2_runs`` per proposal that reached stage 2 (every proposal
+    on the single-stage path) and one ``theta_build_failures`` per
+    NumericalError.
+    """
+    try:
+        r1 = 0.0
+        if stage1 is not None:
+            r1 = stage1()
+            if not rng.random() < _accept_prob(r1):
+                return False, 0.0
+        counts["theta_stage2_runs"] += 1
+        r = stage2()
+        alpha = _accept_prob(r - r1 if stage1 is not None else r)
+        return rng.random() < alpha, alpha
+    except NumericalError:
+        counts["theta_build_failures"] += 1
+        return False, 0.0
+
+
+def _update_theta_componentwise(c, cols, target, state, priors, rng, scales,
+                                counts=None):
     """Componentwise adaptive random-walk Metropolis on log(phi), log(nu),
     log(tau2) of component c.
 
     ``target(G, V)`` is the log density the moves are accepted against, given
     the GP matrix G and whitened columns V; ``cols`` are the outcome columns
-    that component c whitens. A factor that fails to build rejects the move.
-    Returns the number of accepted component moves.
+    that component c whitens. The moves are single-stage
+    (:func:`_two_stage_accept` without a surrogate, which also fills
+    ``counts``). A factor that fails to build rejects the move. Returns the
+    number of accepted component moves.
     """
     model, G = state.model, state.gp_matrix()
+    counts = _new_counts() if counts is None else counts
     accepted = 0
     for idx, nm in enumerate(free_components(priors)):
         cur = model.theta[c]
@@ -353,16 +396,16 @@ def _update_theta_componentwise(c, cols, target, state, priors, rng, scales):
         lp_old = _log_prior_transformed(cur, priors)
         val_old = target(G, state.V)
         old_factor = model.factors[c]
-        try:
+        V_try = state.V.copy()
+
+        def stage2():
             f = model._build_factor(prop)
             model.set_theta(c, prop, f)
-            V_try = state.V.copy()
             for j in cols:
                 V_try[:, j] = f.whiten(G[:, j])
-            alpha = _accept_prob(target(G, V_try) - val_old + lp_new - lp_old)
-            ok = rng.random() < alpha
-        except NumericalError:
-            alpha, ok = 0.0, False
+            return target(G, V_try) - val_old + lp_new - lp_old
+
+        ok, alpha = _two_stage_accept(rng, None, stage2, counts)
         if ok:
             state.V = V_try
             accepted += 1
@@ -372,13 +415,15 @@ def _update_theta_componentwise(c, cols, target, state, priors, rng, scales):
     return accepted
 
 
-def update_theta_block(j, state, priors, rng, scales=None):
+def update_theta_block(j, state, priors, rng, scales=None, counts=None):
     """Componentwise Metropolis on outcome j's kernel params, targeting
     p(y_j | y_{j^c}, theta) p(theta_j).
 
     Only valid when outcome j is the sole user of its component (the full,
-    unclustered model). Returns the number of accepted component moves and
-    the component's params.
+    unclustered model). ``counts`` is a dict whose ``theta_stage2_runs`` and
+    ``theta_build_failures`` entries are incremented (see
+    :func:`_two_stage_accept`). Returns the number of accepted component
+    moves and the component's params.
     """
     model = state.model
     c = int(model.assignments[j])
@@ -386,7 +431,7 @@ def update_theta_block(j, state, priors, rng, scales=None):
         scales = AdaptiveScale(dim=len(free_components(priors)))
     accepted = _update_theta_componentwise(
         c, [j], lambda G, V: conditional_loglik(j, V, model),
-        state, priors, rng, scales)
+        state, priors, rng, scales, counts)
     return accepted, model.theta[c]
 
 
@@ -400,12 +445,17 @@ def _unpack_log_theta(x, thetas, names):
             for p in thetas]
 
 
-def update_theta_joint(state, priors, rng, scale=None):
+def update_theta_joint(state, priors, rng, scale=None, counts=None):
     """One joint adaptive RWM proposal over the stacked log parameters of all
-    components, accepted against the full log-likelihood. Returns the accept
-    flag and the components' params."""
+    components, accepted against the full log-likelihood. When the model has
+    surrogate factors the proposal is screened first against the
+    log-likelihood under them (:func:`_two_stage_accept`), and only a
+    survivor builds the full factors. ``counts`` is as in
+    :func:`update_theta_block`. Returns the accept flag and the components'
+    params."""
     model = state.model
     names = free_components(priors)
+    counts = _new_counts() if counts is None else counts
     if scale is None:
         scale = JointAdaptive(dim=len(names) * model.k)
     cur = list(model.theta)
@@ -421,22 +471,30 @@ def update_theta_joint(state, priors, rng, scale=None):
         return False, model.theta
     lp_old = sum(_log_prior_transformed(p, priors) for p in cur)
     G = state.gp_matrix()
-    ll_old = loglik(G, model, state.V)
-    old_factors = model.factors
-    try:
-        for c, p in enumerate(prop):
-            model.set_theta(c, p, model._build_factor(p))
-        V_new = whiten_columns(G, model)
-        alpha = _accept_prob(loglik(G, model, V_new) - ll_old + lp_new - lp_old)
-        ok = rng.random() < alpha
-    except NumericalError:
-        alpha, ok = 0.0, False
+    new = {"s": [None] * len(prop)}
+
+    def stage1():
+        # the surrogate at the current state: Sigma, beta, W moved since the
+        # last theta step, so the columns are whitened afresh
+        cur1 = model.surrogate_factors
+        ll1_old = loglik(G, model, whiten_columns(G, model, cur1), cur1)
+        new["s"] = [model.surrogate_workspace.build(p) for p in prop]
+        return loglik(G, model, None, new["s"]) - ll1_old + lp_new - lp_old
+
+    def stage2():
+        ll_old = loglik(G, model, state.V)
+        new["f"] = [model._build_factor(p) for p in prop]
+        new["V"] = whiten_columns(G, model, new["f"])
+        return loglik(G, model, new["V"], new["f"]) - ll_old + lp_new - lp_old
+
+    screened = model.surrogate_workspace is not None
+    ok, alpha = _two_stage_accept(rng, stage1 if screened else None, stage2, counts)
     if ok:
-        state.V = V_new
+        for c, p in enumerate(prop):
+            model.set_theta(c, p, new["f"][c], new["s"][c])
+        state.V = new["V"]
         scale.update(alpha, x_prop)
     else:
-        for c, (p, f) in enumerate(zip(cur, old_factors)):
-            model.set_theta(c, p, f)
         scale.update(alpha, x)
     return ok, model.theta
 
@@ -801,7 +859,7 @@ class Sampler:
         self.stored = 0
         self.acc = {"theta_proposals": 0, "theta_accepts": 0,
                     "block_proposals": np.zeros(k, dtype=int),
-                    "block_accepts": np.zeros(k, dtype=int)}
+                    "block_accepts": np.zeros(k, dtype=int), **_new_counts()}
 
         self.steps = []
         if config.theta_mode != "grid" and self.free:
@@ -821,7 +879,7 @@ class Sampler:
 
     def theta_joint(self):
         ok, _ = update_theta_joint(self.state, self.priors, self.rng,
-                                   scale=self.joint_scale)
+                                   scale=self.joint_scale, counts=self.acc)
         self.acc["theta_proposals"] += 1
         self.acc["theta_accepts"] += int(ok)
 
@@ -833,12 +891,12 @@ class Sampler:
         for c in range(model.k):
             if self.config.theta_mode == "full":
                 a, _ = update_theta_block(c, self.state, self.priors, self.rng,
-                                          scales=self.block_scales[c])
+                                          scales=self.block_scales[c], counts=acc)
             else:
                 a = _update_theta_componentwise(
                     c, np.flatnonzero(model.assignments == c),
                     lambda G, V: loglik(G, model, V),
-                    self.state, self.priors, self.rng, self.block_scales[c])
+                    self.state, self.priors, self.rng, self.block_scales[c], acc)
             acc["theta_proposals"] += n_free
             acc["theta_accepts"] += a
             acc["block_proposals"][c] += n_free

@@ -35,6 +35,9 @@ from .vecchia import (VecchiaWorkspace, conditioning_blocks, conditioning_solve,
 _potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), dtype=float)
 
 SET_GUARD = 5000  # largest N*q for dense cross-covariance materialization
+# parents per row of the surrogate factors that screen kernel-parameter
+# proposals before the full factors are built (delayed acceptance)
+M1 = 3
 
 
 class OutcomeMatrix:
@@ -135,6 +138,7 @@ class IoxModel:
             raise ValidationError("m must be >= 0")
         self.is_vecchia = self.m > 0
         self._factors = [None] * len(self.theta)
+        self._surrogates = [None] * len(self.theta)
         self.set_sigma(Sigma)
         self._pred_cache = {}
 
@@ -149,6 +153,15 @@ class IoxModel:
     def workspace(self):
         """The VecchiaWorkspace of the DAG, or None on the exact path."""
         return VecchiaWorkspace(self.dag) if self.is_vecchia else None
+
+    @cached_property
+    def surrogate_workspace(self):
+        """The VecchiaWorkspace of the M1-parent DAG under the same ordering,
+        or None when the factors have no cheaper surrogate (the exact path,
+        or rows with at most M1 parents)."""
+        if not self.is_vecchia or min(self.m, self.n - 1) <= M1:
+            return None
+        return VecchiaWorkspace(build_nn_dag(self.S, M1, self.order_scheme, self.order_seed))
 
     @cached_property
     def coincidence_table(self):
@@ -180,12 +193,14 @@ class IoxModel:
         self.Q = 0.5 * (Q + Q.T)
         self.chol_sigma = np.tril(c)
 
-    def set_theta(self, c, p, factor=None):
-        """Replace component c's kernel params. ``factor`` is its factor under
-        p when the caller built it (``_build_factor``); otherwise the factor is
-        rebuilt on next use."""
+    def set_theta(self, c, p, factor=None, surrogate=None):
+        """Replace component c's kernel params. ``factor`` and ``surrogate``
+        are its factor and surrogate factor under p when the caller built them
+        (``_build_factor``, ``surrogate_workspace.build``); either one left
+        out is rebuilt on next use."""
         self.theta[c] = p
         self._factors[c] = factor
+        self._surrogates[c] = surrogate
 
     @property
     def factors(self):
@@ -197,6 +212,14 @@ class IoxModel:
         if f is None:
             f = self._factors[c] = self._build_factor(self.theta[c])
         return f
+
+    @property
+    def surrogate_factors(self):
+        """The per-component surrogate factors, each built on first use."""
+        for c, f in enumerate(self._surrogates):
+            if f is None:
+                self._surrogates[c] = self.surrogate_workspace.build(self.theta[c])
+        return tuple(self._surrogates)
 
     # -- accessors ----------------------------------------------------------
 
@@ -362,27 +385,35 @@ def cross_cov_set(T, model):
     return 0.5 * (C + C.T)
 
 
-def whiten_columns(Ytilde, model):
-    """V with column j = L_j^{-1} ytilde_j (the spatially whitened data)."""
+def _outcome_factor(model, j, factors):
+    """Outcome j's factor: the model's, or its component's entry of
+    ``factors`` (one factor per component) when given."""
+    return model.factor_for(j) if factors is None else factors[model.assignments[j]]
+
+
+def whiten_columns(Ytilde, model, factors=None):
+    """V with column j = L_j^{-1} ytilde_j (the spatially whitened data).
+    ``factors`` (one per component) stand in for the model's own."""
     Ytilde = np.asarray(Ytilde, dtype=float)
     V = np.empty_like(Ytilde)
     for j in range(model.q):
-        V[:, j] = model.factor_for(j).whiten(Ytilde[:, j])
+        V[:, j] = _outcome_factor(model, j, factors).whiten(Ytilde[:, j])
     return V
 
 
-def loglik(Ytilde, model, V=None):
+def loglik(Ytilde, model, V=None, factors=None):
     """Joint Gaussian log density of centered data under the model.
 
     Computed as -(nq/2) log 2pi + (n/2) log det Q + sum_j sum_k log G_j[k,k]
-    - Tr(V Q V^T) / 2, where V holds the whitened columns.
+    - Tr(V Q V^T) / 2, where V holds the whitened columns. ``factors`` (one
+    per component) stand in for the model's own.
     """
     n, q = model.n, model.q
     if V is None:
-        V = whiten_columns(Ytilde, model)
+        V = whiten_columns(Ytilde, model, factors)
     sld = 0.0
     for j in range(q):
-        s = model.factor_for(j).sum_log_diag()
+        s = _outcome_factor(model, j, factors).sum_log_diag()
         if not np.isfinite(s):
             raise NumericalError(f"non-finite factor log-determinant for outcome {j}")
         sld += s

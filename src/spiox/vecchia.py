@@ -207,9 +207,14 @@ def conditioning_blocks(targets, coords, par, pmask=None):
     # summed by coordinate, so no (N, pairs, d) temporary is made
     D = np.sqrt(sum((x[:, iu] - x[:, ju]) ** 2 for x in np.moveaxis(C, -1, 0)))
     valid = pm[:, iu] & pm[:, ju]
-    d_unique, inv = np.unique(D[valid], return_inverse=True)
-    src = np.full(D.shape, d_unique.size)
+    # each (N, pairs) array is dropped once read: fewer of them are alive at
+    # once, which lowers the peak memory of a workspace build
+    shape, D = D.shape, D[valid]
+    d_unique, inv = np.unique(D, return_inverse=True)
+    del D
+    src = np.full(shape, d_unique.size)
     src[valid] = inv
+    del inv
     # intp, not a narrower type: the gather would cast it on every build
     idx = np.full((k, k + 1, N), d_unique.size, dtype=np.intp)
     idx[iu, ju] = src.T

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py on canned harness results: the side that runs first
 alternates, each pair has its own seed, wins follow each metric's direction,
-and a run that reports ``correct: false`` fails the command."""
+``--record`` writes the printed figures as JSON, and a run that reports
+``correct: false`` fails the command."""
 
 import json
 import os
@@ -59,3 +60,20 @@ def test_alternating_pairs_and_wins(tmp_path, fake_runs, capsys):
 def test_incorrect_run_fails(tmp_path, fake_runs):
     fake_runs.bad = 2
     assert bench_pairs.main(setup_dirs(tmp_path)) == 1
+
+
+def test_record_writes_table(tmp_path, fake_runs, capsys):
+    path = tmp_path / "pairs.json"
+    assert bench_pairs.main(setup_dirs(tmp_path) + ["--record", str(path)]) == 0
+    rec = json.loads(path.read_text())
+    assert rec["workload"] == "w" and rec["pairs"] == 3 and rec["correct"] is True
+    wall, ok = rec["metrics"]["wall_s"], rec["metrics"]["ok_frac"]
+    assert wall["parent"]["values"] == [2.01, 2.02, 2.03]
+    assert wall["change"]["median"] == pytest.approx(1.02)
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == pytest.approx((2.015, 2.025))
+    assert (wall["won"], ok["won"], ok["pairs"]) == (3, 0, 3)
+    assert ok["better"] == "higher"
+    # the printed table shows the recorded figures
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("wall_s"))
+    assert line.split()[2] == "1.015/1.02/1.025"

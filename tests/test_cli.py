@@ -99,6 +99,16 @@ class TestFit:
         for stem in ("sigma", "beta", "pi", "loglik", "zero_corr", "meta.json",
                      "summary.csv", "summary.txt"):
             assert (out / stem).exists() or (out / f"{stem}.csv").exists()
+        # m = 8 > M1: every in-box proposal is screened, and only a stage-1
+        # survivor can be accepted
+        acc = json.load(open(out / "meta.json"))["acceptance"]
+        assert acc["theta_proposals"] == 10
+        assert acc["theta_accepts"] <= acc["theta_stage2_runs"] <= acc["theta_proposals"]
+        assert acc["theta_build_failures"] == 0
+        line = next(ln for ln in (out / "summary.txt").read_text().splitlines()
+                    if ln.startswith("theta acceptance rate"))
+        assert f"stage-2 runs: {acc['theta_stage2_runs']}" in line
+        assert "failed builds: 0" in line
 
     def test_missing_cell_rejected_with_row(self, tmp_path):
         p = tmp_path / "bad.csv"

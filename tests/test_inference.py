@@ -8,7 +8,7 @@ from spiox.config import RunConfig
 from spiox.errors import NumericalError, ValidationError
 from spiox.geom import LocationSet
 from spiox.inference import (AdaptiveScale, McmcState, Priors, SiteSweep,
-                             default_priors, draw_inverse_wishart, pcg_solve,
+                             _two_stage_accept, default_priors, draw_inverse_wishart, pcg_solve,
                              run_chain, sweep_w_sites,
                              update_beta_latent, update_beta_response,
                              update_cluster_assignments, update_delta,
@@ -309,6 +309,75 @@ class TestThetaUpdates:
                     total += 3
         rate = accepted / total
         assert 0.1 <= rate <= 0.5
+
+
+class TestTwoStageAccept:
+    """The delayed-acceptance decision on a 1-D random walk: a biased
+    surrogate changes which proposals reach stage 2, not the stationary law."""
+
+    @staticmethod
+    def walk(log_target, log_surrogate, steps, seed, step=2.0):
+        rng = np.random.default_rng(seed)
+        counts = {"theta_stage2_runs": 0, "theta_build_failures": 0}
+        xs = np.empty(steps)
+        x, accepted = 0.0, 0
+        for i in range(steps):
+            y = x + step * rng.standard_normal()
+            ok, _ = _two_stage_accept(
+                rng, None if log_surrogate is None
+                else (lambda: log_surrogate(y) - log_surrogate(x)),
+                lambda: log_target(y) - log_target(x), counts)
+            if ok:
+                x, accepted = y, accepted + 1
+            xs[i] = x
+        return xs, accepted, counts
+
+    @staticmethod
+    def within_4se(values, want, batches=50):
+        """The mean of a chain's values against ``want``, with the Monte
+        Carlo standard error from batch means."""
+        means = values.reshape(batches, -1).mean(axis=1)
+        se = means.std(ddof=1) / np.sqrt(batches)
+        return abs(values.mean() - want) <= 4 * se
+
+    def test_biased_surrogate_keeps_target_moments(self):
+        # target N(1, 0.5^2); surrogate N(1.6, 0.8^2): shifted and too wide
+        def log_target(x):
+            return -0.5 * ((x - 1.0) / 0.5) ** 2
+
+        def log_surrogate(x):
+            return -0.5 * ((x - 1.6) / 0.8) ** 2
+
+        xs, accepted, counts = self.walk(log_target, log_surrogate, 100000, seed=5,
+                                         step=1.2)
+        assert self.within_4se(xs, 1.0)
+        assert self.within_4se((xs - 1.0) ** 2, 0.25)
+        # stage 1 screened out some proposals, stage 2 rejected some survivors
+        assert accepted < counts["theta_stage2_runs"] < 100000
+        assert counts["theta_build_failures"] == 0
+
+    def test_exact_surrogate_never_rejects_at_stage_2(self):
+        def log_target(x):
+            return -0.5 * x * x
+
+        xs, accepted, counts = self.walk(log_target, log_target, 5000, seed=6)
+        assert counts["theta_stage2_runs"] == accepted
+        assert 0 < accepted < 5000
+
+    def test_single_stage_counts_every_proposal(self):
+        xs, accepted, counts = self.walk(lambda x: -0.5 * x * x, None, 2000, seed=7)
+        assert counts["theta_stage2_runs"] == 2000
+        assert 0 < accepted < 2000
+
+    def test_failed_build_rejects_and_counts(self):
+        counts = {"theta_stage2_runs": 0, "theta_build_failures": 0}
+
+        def fails():
+            raise NumericalError("factor failed")
+        for stage1, stage2 in ((fails, lambda: 0.0), (lambda: 0.0, fails)):
+            assert _two_stage_accept(SeqRng(uniform=0.0), stage1, stage2,
+                                     counts) == (False, 0.0)
+        assert counts == {"theta_stage2_runs": 1, "theta_build_failures": 2}
 
 
 class TestLatentUpdates:

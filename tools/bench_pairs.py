@@ -1,14 +1,16 @@
 """Judge a change against its parent with alternating paired benchmark runs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W --pairs N
+        [--record PATH]
 
 Pair i runs ``perfbench/run.py --trace 0`` of both checkouts with seed i + 1;
 the parent goes first in even pairs and the change in odd ones, so a drift of
 the host's speed falls on both sides alike. For every end-to-end metric of
 the change's ``BENCHMARK.json`` it prints the median and quartiles of each
 side and the number of pairs the change won (strictly better, in the
-metric's direction). It exits 1 if any run reports ``correct: false``. Runs
-are sequential, one child at a time.
+metric's direction). With ``--record PATH`` it also writes the same
+figures, and every run's value, as JSON to PATH. It exits 1 if any run
+reports ``correct: false``. Runs are sequential, one child at a time.
 """
 
 import argparse
@@ -43,17 +45,30 @@ def paired_runs(parent, change, workload, pairs, seconds):
     return results, correct
 
 
-def report(results, end_to_end):
-    """One line per end-to-end metric: each side's quartiles, and the pairs
-    the change won."""
-    lines = [f"{'metric':<12} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}  won"]
+def summary(results, end_to_end):
+    """Per end-to-end metric: each side's values and quartiles, and the
+    pairs the change won."""
+    out = {}
     for m in end_to_end:
-        par = [r[m["name"]] for r in results["parent"]]
-        chg = [r[m["name"]] for r in results["change"]]
+        sides = {side: [r[m["name"]] for r in results[side]]
+                 for side in ("parent", "change")}
         sign = 1.0 if m["better"] == "lower" else -1.0
-        won = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
-        cells = ["/".join(f"{v:.4g}" for v in quartiles(vals)) for vals in (par, chg)]
-        lines.append(f"{m['name']:<12} {cells[0]:>30} {cells[1]:>30}  {won}/{len(par)}")
+        won = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+        out[m["name"]] = {"better": m["better"], "won": won, "pairs": len(sides["parent"])}
+        for side, vals in sides.items():
+            q1, q2, q3 = quartiles(vals)
+            out[m["name"]][side] = {"q1": q1, "median": q2, "q3": q3, "values": vals}
+    return out
+
+
+def report(table):
+    """One line per metric of ``summary``: each side's quartiles, and the
+    pairs the change won."""
+    lines = [f"{'metric':<12} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}  won"]
+    for name, row in table.items():
+        cells = ["/".join(f"{row[side][k]:.4g}" for k in ("q1", "median", "q3"))
+                 for side in ("parent", "change")]
+        lines.append(f"{name:<12} {cells[0]:>30} {cells[1]:>30}  {row['won']}/{row['pairs']}")
     return "\n".join(lines)
 
 
@@ -63,6 +78,7 @@ def main(argv=None):
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--record", help="also write the table as JSON to this path")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -71,8 +87,14 @@ def main(argv=None):
         bench = json.load(fh)
     results, correct = paired_runs(parent, change, args.workload, args.pairs,
                                    bench["run_seconds"])
+    table = summary(results, bench["end_to_end"])
     print(f"{args.workload}, {args.pairs} pairs")
-    print(report(results, bench["end_to_end"]))
+    print(report(table))
+    if args.record:
+        with open(args.record, "w", encoding="utf-8") as fh:
+            json.dump({"workload": args.workload, "pairs": args.pairs,
+                       "correct": correct, "metrics": table}, fh, indent=1)
+            fh.write("\n")
     if not correct:
         print("a run reported correct: false", file=sys.stderr)
         return 1
