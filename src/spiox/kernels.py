@@ -13,10 +13,12 @@ distance: x^nu K_nu(x) comes from piecewise Chebyshev polynomials in log x,
 fitted on the fly to a few hundred ``scipy.special.kve`` values for the range
 of x at hand (``_matern_bessel``). They match ``scipy.special.kv`` to 1e-12
 relative wherever M is above 1e-300, and each value depends only on the
-distance, not on the array around it.
+distance, not on the array around it. Fitted panels are cached per (nu, k),
+so a repeated nu skips the ``kve`` calls and gets the same bits.
 """
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +49,13 @@ LOG_FACTOR = 2.0 * math.log(2.0 / DIST_FLOOR) + 1.0
 NU_MAX = 30.0
 # e^(-x) is 0 in double precision from here on
 EXP_UNDERFLOW = 745.2
+# most entries in one Horner pass over a group of panels (_matern_bessel)
+HORNER_BLOCK = 8192
+# most panel coefficient columns kept, keyed by (nu, k), cleared when full;
+# one call touches at most about 380 panels, so its misses always fit
+COEF_CACHE_SIZE = 512
+_coef_cache = {}
+_coef_lock = threading.Lock()
 _CHEB_T = np.cos(np.pi * (np.arange(CHEB_NODES) + 0.5) / CHEB_NODES)
 # node values -> Chebyshev coefficients (DCT-II over first-kind nodes)
 _CHEB_DCT = (2.0 / CHEB_NODES) * np.cos(
@@ -141,6 +150,24 @@ def _panel_coefficients(panels, nu, width):
     return power
 
 
+def _cached_coefficients(panels, nu, width):
+    """``_panel_coefficients(panels, nu, width)``, with each column taken
+    from the cache when (nu, k) is in it and the misses fitted in one call.
+    Chains may run in threads: the cache changes under a lock, and the result
+    is assembled from local references, so another caller's clear is harmless."""
+    keys = [(nu, k) for k in panels.tolist()]
+    cols = [_coef_cache.get(key) for key in keys]
+    miss = [i for i, c in enumerate(cols) if c is None]
+    if miss:
+        fresh = _panel_coefficients(panels[miss], nu, width)
+        with _coef_lock:
+            if len(_coef_cache) + len(miss) > COEF_CACHE_SIZE:
+                _coef_cache.clear()
+            for i, col in zip(miss, fresh.T):
+                cols[i] = _coef_cache[keys[i]] = col
+    return np.stack(cols, axis=1)
+
+
 def _matern_bessel(x, nu):
     """General-nu Matern, elementwise in x = phi * dist, from a piecewise
     Chebyshev approximation of K_nu.
@@ -150,8 +177,10 @@ def _matern_bessel(x, nu):
     like x^(nu - 1/2) for large x. On each panel [k H, (k + 1) H) of a fixed
     lattice in u (H = PANEL_WIDTH up to nu = 5, see _panel_width), g is a
     polynomial of degree CHEB_TERMS - 1 fitted at CHEB_NODES Chebyshev
-    points. Only the panels that ``x`` touches are built, one ``kve`` call
-    per node; each entry then costs a log, an exp and Horner's rule. The
+    points. Only the panels that ``x`` touches and the cache lacks are built,
+    one ``kve`` call per node; each entry then costs a log, an exp and
+    Horner's rule, run over groups of consecutive panels with at most
+    HORNER_BLOCK entries in all (a larger panel is a group of its own). The
     scaled ``kve`` keeps relative accuracy out to x ~ 700, where ``kv``
     underflows.
 
@@ -167,9 +196,10 @@ def _matern_bessel(x, nu):
     order: the entries are sorted once (inputs from ``np.unique`` already
     are), an entry's panel is fixed by comparing it with e^(k H), each panel
     is evaluated on its contiguous slice by the same elementwise steps, and
-    its coefficients depend only on (nu, k). Temporaries are the size of one
-    panel's slice.
+    its coefficients depend only on (nu, k). Temporaries are the size of at
+    most one group or one panel.
     """
+    nu = float(nu)   # exact cache keys: equal nu, equal coefficients
     x = np.asarray(x, dtype=float)
     xs = x.ravel()
     order = None
@@ -193,20 +223,31 @@ def _matern_bessel(x, nu):
     starts, ends = np.r_[lo, edges], np.r_[edges, hi]
     used = starts < ends
     panels, starts, ends = panels[used], starts[used], ends[used]
-    coef = _panel_coefficients(panels, nu, width)
-    for p, (a, b) in enumerate(zip(starts, ends)):
+    coef = _cached_coefficients(panels, nu, width)
+    counts = ends - starts
+    # one pass per group of panels (see above): a lone panel reads its
+    # coefficients as scalars, a group repeats them over its panels' entries
+    p0 = 0
+    while p0 < panels.size:
+        p1 = p0 + 1
+        while p1 < panels.size and ends[p1] - starts[p0] <= HORNER_BLOCK:
+            p1 += 1
+        lone = p1 == p0 + 1
+        rep = lambda v: v[p0] if lone else np.repeat(v[p0:p1], counts[p0:p1])
+        a, b = starts[p0], ends[p1 - 1]
         t = np.log(xs[a:b])
         t /= width
-        t -= panels[p]
+        t -= rep(panels)
         t *= 2.0
         t -= 1.0
         g = out[a:b]
-        g.fill(coef[-1, p])
+        g[:] = rep(coef[-1])
         for j in range(CHEB_TERMS - 2, -1, -1):
             g *= t
-            g += coef[j, p]
+            g += rep(coef[j])
         g *= np.exp(-xs[a:b])
         np.minimum(g, 1.0, out=g)
+        p0 = p1
     if order is not None:
         out[order] = out.copy()
     return out.reshape(x.shape)

@@ -52,9 +52,8 @@ def jittered_cholesky(A, message):
 class SparseInvChol:
     """Sparse lower-triangular factor G = L^{-1} of a Vecchia process at S."""
 
-    def __init__(self, dag, gamma, diag, params):
-        self.dag = dag
-        self.order = dag.order
+    def __init__(self, order, gamma, diag, params):
+        self.order = order      # original index of each DAG position
         self.gamma = gamma      # csr, DAG-order space
         self.diag = diag        # 1/sqrt(r) per position
         self.params = params
@@ -285,8 +284,9 @@ class VecchiaWorkspace:
     """
 
     def __init__(self, dag):
-        self.dag = dag
-        n = dag.n
+        # the ordering only: the DAG's parent lists are freed with the DAG
+        self.order = dag.order
+        self.n = n = dag.n
         # row pos of the factor: its parents, then pos itself
         kvec = np.fromiter(map(len, dag.parents), dtype=np.int64, count=n)
         flat = np.concatenate(dag.parents)
@@ -322,7 +322,6 @@ class VecchiaWorkspace:
 
     def build(self, p):
         """Assemble the factor for kernel params ``p``."""
-        n = self.dag.n
         key, rho = self._rho_memo
         if key != (p.phi, p.nu):
             rho = matern(self.d_unique, replace(p, tau2=0.0))
@@ -335,9 +334,9 @@ class VecchiaWorkspace:
         data[self.dest_par.ravel()] = (-h / sq[:, None]).ravel()
         data[self.dest_self] = 1.0 / sq
         gamma = sp.csr_matrix((data[:nnz], self.indices, self.indptr),
-                              shape=(n, n), copy=False)
-        return SparseInvChol(self.dag, gamma, 1.0 / sq, p)
+                              shape=(self.n, self.n), copy=False)
+        return SparseInvChol(self.order, gamma, 1.0 / sq, p)
 
     def _retry_row(self, Rpp, rps, one, pos):
         return retry_row(Rpp, rps, one,
-                         f"Vecchia factor row for location {self.dag.order[pos]}")
+                         f"Vecchia factor row for location {self.order[pos]}")

@@ -1,6 +1,8 @@
 """Tests for the Matern correlation machinery."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,12 +12,13 @@ from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
+from spiox import kernels
 from spiox.errors import ValidationError
 from spiox.geom import build_nn_dag
 from spiox.ioxcore import IoxModel
-from spiox.kernels import (DIST_FLOOR, NU_MAX, KernelParams, _matern_bessel,
-                           _one_cutoff, _panel_width, corr_matrix, matern,
-                           matern_correlation)
+from spiox.kernels import (COEF_CACHE_SIZE, DIST_FLOOR, HORNER_BLOCK, NU_MAX,
+                           KernelParams, _matern_bessel, _one_cutoff,
+                           _panel_width, corr_matrix, matern, matern_correlation)
 from spiox.vecchia import VecchiaWorkspace
 
 from conftest import rand_locations
@@ -171,6 +174,103 @@ class TestBesselInterpolant:
         _, iw, idn = np.intersect1d(ws.d_unique, D[iu], return_indices=True)
         assert iw.size > 0
         assert np.array_equal(rho_ws[iw], dense[idn])
+
+
+class TestCoefficientCache:
+    """The (nu, panel) coefficient cache of _matern_bessel: a cached panel
+    gives the bits of a fresh fit."""
+
+    X = np.geomspace(1e-6, 60.0, 3000)
+
+    @staticmethod
+    def cold(x, nu):
+        kernels._coef_cache.clear()
+        return _matern_bessel(x, nu)
+
+    def test_warm_equals_cold(self):
+        for nu in (0.3, 1.2, 7.7):
+            want = self.cold(self.X, nu)
+            for other in (0.81, 2.2, 25.0):
+                _matern_bessel(3.0 * self.X, other)
+            # the same nu on part of the range: the next call mixes cached
+            # and fresh panels
+            _matern_bessel(self.X[:800] / 7.0, nu)
+            assert np.array_equal(_matern_bessel(self.X, nu), want)
+
+    def test_call_that_overflows_the_cache(self):
+        nu = 1.3
+        want = self.cold(self.X, nu)
+        needed = len(kernels._coef_cache)
+        kernels._coef_cache.clear()
+        fill = 0.4
+        while len(kernels._coef_cache) + needed <= COEF_CACHE_SIZE:
+            _matern_bessel(np.array([0.5, 2.0]), fill)
+            fill += 1e-3
+        before = len(kernels._coef_cache)
+        got = _matern_bessel(self.X, nu)
+        assert len(kernels._coef_cache) == needed < before
+        assert np.array_equal(got, want)
+
+    def test_size_stays_bounded(self):
+        kernels._coef_cache.clear()
+        for i in range(COEF_CACHE_SIZE + 100):
+            _matern_bessel(np.array([0.5, 2.0]), 0.4 + 1e-3 * i)
+            assert len(kernels._coef_cache) <= COEF_CACHE_SIZE
+        # the widest call at any nu fits in the cache on its own
+        x = np.geomspace(DIST_FLOOR, 800.0, 20000)
+        for nu in (0.01, 1.0, 5.0, 5.01, 20.01, NU_MAX):
+            self.cold(x, nu)
+            assert 0 < len(kernels._coef_cache) < COEF_CACHE_SIZE
+
+    def test_threads_give_serial_results(self, monkeypatch):
+        # a tiny cache and short thread switches make the threads clear it
+        # under each other's feet; more threads than cores
+        monkeypatch.setattr(kernels, "COEF_CACHE_SIZE", 8)
+        nus = (0.7, 2.2, 3.3, 0.7)
+        want = {nu: self.cold(self.X, nu) for nu in nus}
+        # a clear makes room for all of one call's misses, and no more
+        most = len(kernels._coef_cache)
+        got = [[] for _ in nus]
+        sizes = []
+
+        def work(k):
+            for _ in range(30):
+                got[k].append(_matern_bessel(self.X, nus[k]))
+                sizes.append(len(kernels._coef_cache))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(nus))]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        for k, nu in enumerate(nus):
+            assert len(got[k]) == 30
+            assert all(np.array_equal(v, want[nu]) for v in got[k])
+        assert max(sizes) <= most
+
+
+def test_grouped_horner_both_branches():
+    # panel [1, e^0.5) holds more than HORNER_BLOCK entries (its own pass,
+    # scalar coefficients); panels from e^0.5 to 30 hold a few thousand each
+    # (grouped passes that split at HORNER_BLOCK); the rest are sparse
+    rng = np.random.default_rng(5)
+    x = np.sort(np.concatenate([np.geomspace(1e-4, 300.0, 200),
+                                rng.uniform(1.0, 1.6, HORNER_BLOCK + 300),
+                                rng.uniform(1.7, 30.0, 9000)]))
+    counts = np.bincount(np.floor(np.log(x) / 0.5).astype(int) + 20)
+    assert counts.max() > HORNER_BLOCK and 0 < np.sort(counts)[-2] < HORNER_BLOCK
+    for nu in (0.3, 1.2, 3.7):
+        whole = _matern_bessel(x, nu)
+        alone = np.array([_matern_bessel(x[i:i + 1], nu)[0] for i in range(x.size)])
+        assert np.array_equal(whole, alone)
+        want = TestBesselInterpolant.kv_matern(x, nu)
+        assert np.max(np.abs(whole - want) / want) <= 1e-12
 
 
 class TestCorrMatrix:

@@ -116,6 +116,28 @@ class TestBuild:
         ws.build(KernelParams(12.0, 0.9, 0.3))
         assert len(calls) == 2
 
+    def test_dag_freed_after_workspace_build(self):
+        # the workspace and its factors keep the ordering, not the DAG's
+        # parent lists
+        import gc
+        import weakref
+        S = rand_locations(50, seed=6)
+        dag = build_nn_dag(S, 4, "random", seed=2)
+        order = dag.order.copy()
+        ref = weakref.ref(dag)
+        ws = VecchiaWorkspace(dag)
+        p = KernelParams(10.0, 0.9, 1e-3)
+        G = ws.build(p)
+        del dag
+        gc.collect()
+        assert ref() is None
+        assert np.array_equal(ws.order, order) and np.array_equal(G.order, order)
+        assert np.array_equal(ws.build(p).gamma.data, G.gamma.data)
+        y = np.random.default_rng(0).standard_normal(50)
+        assert np.allclose(G.unwhiten(G.whiten(y)), y)
+        with pytest.raises(NumericalError, match=f"location {order[7]} "):
+            ws._retry_row(np.zeros((2, 2)), np.zeros(2), 0.0, 7)
+
 
 class TestSolves:
     def test_whiten_zero_and_identity(self):
@@ -159,7 +181,7 @@ class TestSolves:
         from spiox.vecchia import SparseInvChol
         S = rand_locations(6, seed=20)
         dag = identity_dag(S, 0)
-        G = SparseInvChol(dag, sp.identity(6, format="csr") * 2.0,
+        G = SparseInvChol(dag.order, sp.identity(6, format="csr") * 2.0,
                           np.full(6, 2.0), KernelParams(1.0, 1.0))
         v = np.arange(6, dtype=float)
         assert np.array_equal(G.unwhiten(v), v / 2.0)
