@@ -197,7 +197,6 @@ def cmd_predict(chain_dir, data_path, test_path, out_path, quantiles,
     model = IoxModel(S, draws[0].theta, draws[0].Sigma, m=meta["vecchia_m"],
                      order_seed=meta["seed"])
     rng = np.random.default_rng(meta["seed"] + 1000 if seed is None else seed)
-    fully_missing = bool(np.isnan(Yt).all())
     request = PredictionRequest(T, X_T=X_T, y_obs=Yt, q=meta["q"])
     preds = posterior_predictive(request, draws, data, model, rng,
                                  include_noise=not noise_free)
@@ -208,7 +207,7 @@ def cmd_predict(chain_dir, data_path, test_path, out_path, quantiles,
     rows = []
     for t in range(T.shape[0]):
         for j in range(q):
-            if not fully_missing and not np.isnan(Yt[t, j]):
+            if not np.isnan(Yt[t, j]):
                 continue  # observed at the test site: nothing to predict
             x = preds[:, t, j]
             qs = np.quantile(x, quantiles)

@@ -39,7 +39,7 @@ class RunConfig:
     model: str = "response"
     theta_mode: str = "full"
     theta_update: str = "auto"
-    k1: int = 1
+    cluster_k1: int = 1
     grid_nu_values: list = field(default_factory=list)
     grid_phi: float = None
     grid_tau2: float = None
@@ -100,7 +100,7 @@ class RunConfig:
             raise ValidationError("chains and threads must be >= 1")
         if self.vecchia_m < 0:
             raise ValidationError("vecchia_m must be >= 0")
-        if self.k1 < 1:
+        if self.cluster_k1 < 1:
             raise ValidationError("cluster.k1 must be >= 1")
         if self.theta_mode == "grid" and not self.grid_nu_values:
             raise ValidationError("grid mode needs grid.nu_values")
@@ -167,43 +167,21 @@ class RunConfig:
         return out
 
 
+def _parse_pair(s):
+    v = _parse_floats(s)
+    if len(v) != 2:
+        raise ValueError(f"needs exactly two values, got {len(v)}")
+    return tuple(v)
+
+
+# a key is its field's name, with the first "_" of a grouped field a "."
+_GROUPS = ("prior", "sim", "grid", "cluster")
+_CONVERTERS = {int: int, float: float, str: str, list: _parse_floats,
+               tuple: _parse_pair, np.ndarray: _parse_matrix}
 _KEYMAP = {
-    "model": ("model", str),
-    "theta_mode": ("theta_mode", str),
-    "theta_update": ("theta_update", str),
-    "cluster.k1": ("k1", int),
-    "grid.nu_values": ("grid_nu_values", _parse_floats),
-    "grid.phi": ("grid_phi", float),
-    "grid.tau2": ("grid_tau2", float),
-    "vecchia_m": ("vecchia_m", int),
-    "iters": ("iters", int),
-    "burn": ("burn", int),
-    "thin": ("thin", int),
-    "seed": ("seed", int),
-    "threads": ("threads", int),
-    "chains": ("chains", int),
-    "w_update": ("w_update", str),
-    "store_w": ("store_w", int),
-    "zero_corr_draws": ("zero_corr_draws", int),
-    "order_scheme": ("order_scheme", str),
-    "prior.phi": ("prior_phi", _parse_floats),
-    "prior.nu": ("prior_nu", _parse_floats),
-    "prior.tau2": ("prior_tau2", _parse_floats),
-    "prior.sigma_df": ("prior_sigma_df", float),
-    "prior.sigma_scale": ("prior_sigma_scale", float),
-    "prior.delta_a": ("prior_delta_a", float),
-    "prior.delta_b": ("prior_delta_b", float),
-    "prior.beta_mean": ("prior_beta_mean", float),
-    "prior.beta_var": ("prior_beta_var", float),
-    "sim.n": ("sim_n", int),
-    "sim.q": ("sim_q", int),
-    "sim.d": ("sim_d", int),
-    "sim.phi": ("sim_phi", _parse_floats),
-    "sim.nu": ("sim_nu", _parse_floats),
-    "sim.tau2": ("sim_tau2", _parse_floats),
-    "sim.sigma": ("sim_sigma", _parse_matrix),
-    "sim.vecchia_m": ("sim_vecchia_m", int),
-    "sim.domain": ("sim_domain", _parse_floats),
+    (f.name.replace("_", ".", 1) if f.name.split("_", 1)[0] in _GROUPS else f.name):
+        (f.name, _CONVERTERS[f.type])
+    for f in fields(RunConfig)
 }
 
 
@@ -222,17 +200,8 @@ def parse_config(text):
         attr, conv = _KEYMAP[key]
         try:
             setattr(cfg, attr, conv(val))
-        except ValidationError:
-            raise
         except Exception as e:
             raise ValidationError(f"config line {lineno}: bad value for {key}: {e}")
-    tuple_fields = ("prior_phi", "prior_nu", "prior_tau2", "sim_domain")
-    for name in tuple_fields:
-        v = getattr(cfg, name)
-        if isinstance(v, list):
-            if len(v) != 2:
-                raise ValidationError(f"{name} needs exactly two values")
-            setattr(cfg, name, tuple(v))
     return cfg.validate()
 
 

@@ -50,7 +50,7 @@ def _read_rows(path):
             offset += len(raw)
 
 
-def read_table(path, expect_cols=None):
+def read_table(path):
     """Read a CSV with header into (header, float array with NaN for blanks).
 
     Malformed rows raise ValidationError reporting line and byte offset.
@@ -62,9 +62,6 @@ def read_table(path, expect_cols=None):
         if header is None:
             header = fields
             ncol = len(fields)
-            if expect_cols is not None and ncol != expect_cols:
-                raise ValidationError(
-                    f"{path}: expected {expect_cols} columns, found {ncol}")
             continue
         if len(fields) == 1 and fields[0] == "":
             continue

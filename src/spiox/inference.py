@@ -801,7 +801,7 @@ def _initial_state(config, data, S, priors, free):
         if config.theta_mode == "grid":
             thetas = config.grid_thetas(priors)
         else:
-            thetas = [_init_theta(priors, free)] * config.k1
+            thetas = [_init_theta(priors, free)] * config.cluster_k1
         Sigma0 = _init_sigma(resid0)
         assignments = np.arange(q) % len(thetas)
     model = IoxModel(S, thetas, Sigma0, m=config.vecchia_m,

@@ -220,7 +220,7 @@ def _matern_bessel(x, nu):
     panels = np.arange(math.floor(math.log(xs[lo]) / width) - 1,
                        math.floor(math.log(xs[hi - 1]) / width) + 2, dtype=float)
     edges = lo + np.searchsorted(xs[lo:hi], np.exp(panels[1:] * width))
-    starts, ends = np.r_[lo, edges], np.r_[edges, hi]
+    starts, ends = np.concatenate(([lo], edges)), np.concatenate((edges, [hi]))
     used = starts < ends
     panels, starts, ends = panels[used], starts[used], ends[used]
     coef = _cached_coefficients(panels, nu, width)

@@ -5,7 +5,10 @@ Given the data at the reference set, prediction at a new site t factorizes
 site by site: the conditional mean stacks h_j(t) projections per outcome and
 the conditional covariance is R(t) = D(t) Sigma D(t) with
 D(t) = diag(sqrt(r_j(t))). Distinct test sites are conditionally independent
-given the reference-set values, so everything here is vectorized over sites.
+given the reference-set values, so every draw goes through one site-by-site
+path, ``predict_partial``: a fully missing row takes the full-vector formula,
+a partly observed row the co-kriging conditional. ``predict_full`` and
+``posterior_predictive`` call it, and it is vectorized over sites.
 """
 
 from dataclasses import dataclass
@@ -105,18 +108,6 @@ def _site_moments(T, X_T, draw, data, model, include_noise=True):
     return mean, _scale(r, draw, model, include_noise)
 
 
-def _noise_width(draw, include_noise):
-    """Standard normals per predicted entry: the field's, plus the
-    measurement noise's for the latent model."""
-    return 2 if draw.W is not None and include_noise else 1
-
-
-def _partial_normals(miss, on_ref, width):
-    """Standard normals each co-kriged row draws: none for the field where
-    the row is pinned to a reference site."""
-    return miss.sum(axis=1) * np.where(on_ref, width - 1, width)
-
-
 def _draw_full(mean, dvec, draw, U):
     """Full-vector draws mean + D Ls z (+ Delta^(1/2) u) for rows of per-site
     moments; row t of U holds z (q values), then u when it is drawn."""
@@ -129,71 +120,69 @@ def _draw_full(mean, dvec, draw, U):
 
 def predict_full(t, draw, data, model, rng, X_t=None, include_noise=True):
     """One draw of the full outcome vector at site t, or at each row of a
-    stack of sites, given a posterior draw.
+    stack of sites, given a posterior draw: ``predict_partial`` with every
+    outcome missing.
 
     Response model: y(t) ~ N(x(t)^T B + H(t)(y - X B), D Sigma D).
     Latent model: w(t) ~ N(H(t) w, D Sigma D), then y(t) adds the trend and,
-    when include_noise, Delta^(1/2) u. A stack draws its standard normals
-    site by site, as that many single-site calls would.
+    when include_noise, Delta^(1/2) u.
     """
-    single = np.ndim(t) == 1
-    T = np.atleast_2d(np.asarray(t, dtype=float))
-    X_t = np.ones((T.shape[0], data.p)) if X_t is None else np.atleast_2d(X_t)
-    mean, dvec = _site_moments(T, X_t, draw, data, model, include_noise=include_noise)
-    width = _noise_width(draw, include_noise) * model.q
-    Y = _draw_full(mean, dvec, draw, rng.standard_normal((T.shape[0], width)))
-    return Y[0] if single else Y
+    missing = np.full((np.atleast_2d(t).shape[0], model.q), np.nan)
+    return predict_partial(t, missing, draw, data, model, rng, X_t=X_t,
+                           include_noise=include_noise)
 
 
-def predict_partial(t, y_obs, draw, data, model, rng, X_t=None,
-                    include_noise=True, *, moments=None, normals=None):
-    """Draw the missing outcomes at t given the observed ones (co-kriging).
+def predict_partial(t, y_obs, draw, data, model, rng, X_t=None, include_noise=True):
+    """Draw the NaN entries of ``y_obs`` at t given its other entries.
 
-    ``y_obs`` is a length-q vector with NaN marking the missing entries m; the
-    draw targets p(y_m(t) | y_o(t), y) with conditional covariance
-    D_m Q_m^{-1} D_m, where Q_m is the missing-block of Sigma^{-1}. Returns
-    the drawn values of the missing entries.
+    ``t`` is one site with a length-q ``y_obs``, or a stack of sites with one
+    row of ``y_obs`` each, in any mix of missingness patterns. A stack
+    returns ``y_obs`` with its NaN entries drawn, a single site the drawn
+    values alone. Each row takes one of three forms:
 
-    ``t`` may also be a stack of sites with one row of ``y_obs`` each, in any
-    mix of missingness patterns; the result is then ``y_obs`` with its NaN
-    entries drawn. Rows are grouped by pattern, so each pattern takes one
-    Cholesky of Q_m per call. Standard normals are laid out site by site, as
-    single-site calls would draw them. ``moments`` = (mean, dvec, coin) of
-    the sites (``_site_moments`` with the nugget, and the coincidence index)
-    and ``normals`` stand in for computing them here and for drawing from
-    ``rng``.
+    * every outcome missing: the full-vector draw from N(mean, D Sigma D);
+    * some missing (m) and some observed (o): co-kriging from
+      p(y_m(t) | y_o(t), y), with conditional covariance D_m Q_m^{-1} D_m
+      where Q_m is the missing block of Sigma^{-1}. Rows are grouped by
+      pattern, so each pattern takes one Cholesky of Q_m per call;
+    * every outcome observed: carried through unchanged.
 
-    When t coincides with a reference site every r_j(t) is zero and the
-    observed-side scaling is degenerate; the site is then pinned to the
-    reference-set values (exact conditioning), with measurement noise still
-    added for the latent model. Any other site, however close to S, takes the
-    general formula; an exactly zero observed-side r_j(t) there is a
-    NumericalError naming the first such site.
+    Without ``include_noise`` fully missing rows drop the response model's
+    nugget; co-kriged cells keep it. The standard normals come from one
+    ``rng.standard_normal`` call, laid out site by site in row order, so a
+    stack draws what that many single-site calls with the same ``rng``
+    would.
+
+    When a co-kriged t coincides with a reference site every r_j(t) is zero
+    and the observed-side scaling is degenerate; the site is then pinned to
+    the reference-set values (exact conditioning), with measurement noise
+    still added for the latent model. Any other site, however close to S,
+    takes the general formula; an exactly zero observed-side r_j(t) there is
+    a NumericalError naming the first such site.
     """
     single = np.ndim(t) == 1
     T = np.atleast_2d(np.asarray(t, dtype=float))
     y_obs = np.atleast_2d(np.asarray(y_obs, dtype=float))
+    q = y_obs.shape[1]
     miss = np.isnan(y_obs)
-    if not miss.any(axis=1).all():
-        raise ValidationError("no missing outcomes at this site")
-    if miss.all(axis=1).any():
-        raise ValidationError("predict_partial needs at least one observed outcome")
+    full = miss.all(axis=1)
+    part = miss.any(axis=1) & ~full
     X_t = np.ones((T.shape[0], data.p)) if X_t is None else np.atleast_2d(X_t)
-    if moments is None:
-        mean, dvec = _site_moments(T, X_t, draw, data, model, include_noise=True)
-        coin = model._pred_geometry(T)["coin"]  # cached by _site_moments
-    else:
-        mean, dvec, coin = moments
-    latent = draw.W is not None
-    width = _noise_width(draw, include_noise)
+    mean, r = _site_mean_r(T, X_t, draw, data, model)
+    dvec = _scale(r, draw, model, True)
+    coin = model._pred_geometry(T)["coin"]  # cached by _site_mean_r
     on_ref = coin >= 0
-    counts = _partial_normals(miss, on_ref, width)
-    if normals is None:
-        normals = rng.standard_normal(int(counts.sum()))
+    latent = draw.W is not None
+    # standard normals per predicted entry: the field's, plus the noise's
+    width = 2 if latent and include_noise else 1
+    counts = np.where(full, q * width,
+                      miss.sum(axis=1) * np.where(on_ref, width - 1, width))
+    normals = rng.standard_normal(int(counts.sum()))
+    start = np.cumsum(counts) - counts
     # where in ``normals`` each missing entry's first standard normal sits
-    slot = (np.cumsum(counts) - counts)[:, None] + np.cumsum(miss, axis=1) - 1
+    slot = start[:, None] + np.cumsum(miss, axis=1) - 1
 
-    bad = ~on_ref & ((dvec == 0.0) & ~miss).any(axis=1)
+    bad = part & ~on_ref & ((dvec == 0.0) & ~miss).any(axis=1)
     if bad.any():
         raise NumericalError(
             f"co-kriging at site {T[np.argmax(bad)].tolist()}: zero residual "
@@ -201,7 +190,10 @@ def predict_partial(t, y_obs, draw, data, model, rng, X_t=None,
             "location")
 
     out = y_obs.copy()
-    ref = np.flatnonzero(on_ref)
+    if full.any():
+        out[full] = _draw_full(mean[full], _scale(r[full], draw, model, include_noise),
+                               draw, normals[start[full, None] + np.arange(q * width)])
+    ref = np.flatnonzero(part & on_ref)
     if ref.size:
         # t sits on the reference set: the GP part is the stored value there
         ri, cj = np.nonzero(miss[ref])
@@ -213,11 +205,11 @@ def predict_partial(t, y_obs, draw, data, model, rng, X_t=None,
         else:
             vals = data.Y[coin[rows], cj]
         out[rows, cj] = vals
-    free = np.flatnonzero(~on_ref)
+    free = np.flatnonzero(part & ~on_ref)
     if free.size:
         Q = np.linalg.inv(draw.Sigma)
         # one integer code per missingness pattern (bit j set: outcome j missing)
-        code = miss[free] @ (1 << np.arange(miss.shape[1]))
+        code = miss[free] @ (1 << np.arange(q))
         for c in np.unique(code):
             rows = free[code == c]
             pat = miss[rows[0]]
@@ -276,46 +268,17 @@ def posterior_predictive(request, draws, data, model, rng, include_noise=True):
     of posterior draws.
 
     Returns an (n_draws, N, q) array; entries for observed outcomes (through
-    ``request.y_obs``, NaN = missing) are carried through unchanged so
-    summaries can mask them. Each posterior draw re-anchors the model's
-    parameters.
-
-    Each draw makes one pass over all sites: one ``h_r_compact`` call per
-    outcome, then fully missing rows from the full-vector formula and the
-    partly observed rows in one ``predict_partial`` call, which groups them by
-    missingness pattern. A draw's standard normals come from one
-    ``rng.standard_normal`` call, laid out site by site in row order.
+    ``request.y_obs``, NaN = missing; None = all missing) are carried through
+    unchanged so summaries can mask them. Each posterior draw re-anchors the
+    model's parameters and makes one ``predict_partial`` call over all sites,
+    so its draws equal those of a site-by-site loop with the same ``rng``.
     """
     Tc, X_T, y_obs = request.coords, request.X_T, request.y_obs
-    N = Tc.shape[0]
-    q = model.q
-    out = np.empty((len(draws), N, q))
-    if y_obs is not None:
-        miss = np.isnan(y_obs)
-        full = miss.all(axis=1)
-        part = miss.any(axis=1) & ~full
-        coin = model._pred_geometry(Tc)["coin"]
+    if y_obs is None:
+        y_obs = np.full((Tc.shape[0], model.q), np.nan)
+    out = np.empty((len(draws),) + y_obs.shape)
     for di, draw in enumerate(draws):
         apply_draw(model, draw)
-        mean, r = _site_mean_r(Tc, X_T, draw, data, model)
-        width = _noise_width(draw, include_noise)
-        if y_obs is None:
-            # the field's normals for every site, then the noise's
-            U = np.concatenate(rng.standard_normal((width, N, q)), axis=1)
-            out[di] = _draw_full(mean, _scale(r, draw, model, include_noise), draw, U)
-            continue
-        counts = np.where(full, q * width, _partial_normals(miss, coin >= 0, width))
-        u = rng.standard_normal(int(counts.sum()))
-        owner = np.repeat(np.arange(N), counts)
-        Y = np.array(y_obs, dtype=float)
-        if full.any():
-            Y[full] = _draw_full(mean[full], _scale(r[full], draw, model, include_noise),
-                                 draw, u[full[owner]].reshape(-1, q * width))
-        if part.any():
-            Y[part] = predict_partial(
-                Tc[part], y_obs[part], draw, data, model, None, X_t=X_T[part],
-                include_noise=include_noise,
-                moments=(mean[part], _scale(r[part], draw, model, True), coin[part]),
-                normals=u[part[owner]])
-        out[di] = Y
+        out[di] = predict_partial(Tc, y_obs, draw, data, model, rng, X_t=X_T,
+                                  include_noise=include_noise)
     return out

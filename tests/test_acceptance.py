@@ -399,7 +399,7 @@ def test_criterion_8_clustering_recovery():
     gen = IoxModel(S, menu, Sigma, m=0, assignments=truth)
     Y = simulate_prior_reference(gen, rng)
     cfg = RunConfig(theta_mode="grid", grid_nu_values=[0.5, 2.5],
-                    grid_phi=30.0, grid_tau2=1e-3, k1=2, vecchia_m=15,
+                    grid_phi=30.0, grid_tau2=1e-3, cluster_k1=2, vecchia_m=15,
                     iters=800, burn=400, seed=8, zero_corr_draws=0).validate()
     chain = run_chain(cfg, OutcomeMatrix(Y), S)
     pi = chain.draws["pi"]

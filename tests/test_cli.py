@@ -2,12 +2,13 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from spiox.cli import main
-from spiox.config import parse_config
+from spiox.config import RunConfig, parse_config
 from spiox.dataio import (ess, read_dataset, read_mixed, read_table,
                           summary_rows, write_dataset)
 from spiox.errors import ValidationError
@@ -529,6 +530,29 @@ class TestHelpers:
                      "predict.max_draws = 1\n", "pcg_tol = 1e-8\n"):
             with pytest.raises(ValidationError, match="unknown key"):
                 parse_config(text)
+
+    def test_every_config_field_round_trips_through_its_key(self):
+        # the key is the field name, its first "_" a "." in a grouped field
+        groups = ("prior", "sim", "grid", "cluster")
+        samples = {int: None, float: (0.5, "0.5"), str: None,
+                   list: ([0.5, 1.5], "0.5, 1.5"), tuple: ((0.5, 2.0), "0.5, 2"),
+                   np.ndarray: ([[2.0, 0.5], [0.5, 1.0]], "2, 0.5; 0.5, 1")}
+        for f in fields(RunConfig):
+            head = f.name.split("_", 1)[0]
+            key = f.name.replace("_", ".", 1) if head in groups else f.name
+            default = getattr(RunConfig(), f.name)
+            if f.type is int:
+                value, text = default + 1, str(default + 1)
+            elif f.type is str:
+                value, text = default, default
+            else:
+                value, text = samples[f.type]
+            got = getattr(parse_config(f"{key} = {text}\n"), f.name)
+            assert isinstance(got, f.type) and np.array_equal(got, value), key
+        with pytest.raises(ValidationError, match="unknown key 'k1'"):
+            parse_config("k1 = 2\n")
+        with pytest.raises(ValidationError, match="prior.nu: needs exactly two"):
+            parse_config("prior.nu = 0.5, 1, 2\n")
 
     def test_truncated_chain_file_offset(self, tmp_path):
         p = tmp_path / "theta.csv"

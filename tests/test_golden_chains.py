@@ -27,7 +27,7 @@ BASE = {"vecchia_m": 6, "iters": 24, "burn": 12, "thin": 2, "seed": 7,
 CASES = {
     "joint": {},
     "block": {"theta_update": "block", "thin": 1},
-    "cluster": {"theta_mode": "cluster", "k1": 2},
+    "cluster": {"theta_mode": "cluster", "cluster_k1": 2},
     "grid": {"theta_mode": "grid", "grid_nu_values": [0.5, 1.5]},
     "latent_outcome": {"model": "latent", "w_update": "outcome"},
     "latent_site": {"model": "latent", "w_update": "site"},

@@ -25,7 +25,8 @@ from spiox.errors import NumericalError
 from spiox.geom import LocationSet
 from spiox.ioxcore import IoxModel, OutcomeMatrix
 from spiox.kernels import KernelParams
-from spiox.predict import PosteriorDraw, PredictionRequest, posterior_predictive
+from spiox.predict import (PosteriorDraw, PredictionRequest, apply_draw,
+                           posterior_predictive, predict_full, predict_partial)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_predictions.npz")
@@ -116,6 +117,28 @@ def test_predictions_match_golden(case):
     got = predictions(case)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batched_equals_site_by_site_loop(case):
+    # sites are conditionally independent given the reference set, so one
+    # batched pass and a loop of single-site calls on the same stream agree
+    kind, m, noise, req = CASES[case]
+    S, data, draws, model = case_setup(kind, m)
+    T, X_T, y_obs, _ = request_rows(S)
+    got = predictions(case)
+    rng = np.random.default_rng(99)
+    for d, draw in enumerate(draws):
+        apply_draw(model, draw)
+        for i in range(T.shape[0]):
+            if req == "full":
+                one = predict_full(T[i], draw, data, model, rng, X_t=X_T[i],
+                                   include_noise=noise)
+            else:
+                one = y_obs[i].copy()
+                one[np.isnan(one)] = predict_partial(T[i], y_obs[i], draw, data, model,
+                                                     rng, X_t=X_T[i], include_noise=noise)
+            np.testing.assert_allclose(got[d, i], one, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind, m", [("response", 6), ("latent", 0)])

@@ -648,7 +648,7 @@ class TestRunChain:
 
     def test_cluster_mode_runs(self):
         data, S = self._data(n=35, seed=32)
-        cfg = RunConfig(theta_mode="cluster", k1=2, iters=30, burn=10,
+        cfg = RunConfig(theta_mode="cluster", cluster_k1=2, iters=30, burn=10,
                         vecchia_m=6, seed=5, zero_corr_draws=0).validate()
         ch = run_chain(cfg, data, S)
         assert ch.meta["n_draws"] == 20

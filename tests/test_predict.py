@@ -241,32 +241,30 @@ class TestPredictPartial:
             draw = PosteriorDraw(B=draw.B, Sigma=draw.Sigma, theta=draw.theta,
                                  Delta=rng.uniform(0.1, 0.3, 3),
                                  W=data.Y + 0.1 * rng.standard_normal(data.Y.shape))
-        T = np.vstack([np.random.default_rng(45).uniform(0, 1, (5, 2)), S.coords[[2, 9]]])
-        y_obs = np.random.default_rng(46).standard_normal((7, 3))
+        # partly observed rows, two of them on S, then a fully missing and a
+        # fully observed row
+        T = np.vstack([np.random.default_rng(45).uniform(0, 1, (5, 2)), S.coords[[2, 9]],
+                       np.random.default_rng(47).uniform(0, 1, (2, 2))])
+        y_obs = np.random.default_rng(46).standard_normal((9, 3))
         for i, pat in enumerate([[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1],
-                                 [1, 1, 0], [0, 1, 0], [1, 0, 1]]):
+                                 [1, 1, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1], [0, 0, 0]]):
             y_obs[i, np.array(pat, bool)] = np.nan
         stack = predict_partial(T, y_obs, draw, data, model, np.random.default_rng(7))
+        assert np.array_equal(stack[8], y_obs[8])
         rng = np.random.default_rng(7)
-        for i in range(7):
-            one = predict_partial(T[i], y_obs[i], draw, data, model, rng)
+        for i in range(9):
             miss = np.isnan(y_obs[i])
+            if miss.all():
+                one = predict_full(T[i], draw, data, model, rng)
+            else:
+                one = predict_partial(T[i], y_obs[i], draw, data, model, rng)
             np.testing.assert_allclose(stack[i, miss], one, rtol=1e-12, atol=1e-12)
             assert np.array_equal(stack[i, ~miss], y_obs[i, ~miss])
         full = predict_full(T, draw, data, model, np.random.default_rng(8))
         rng = np.random.default_rng(8)
-        for i in range(7):
+        for i in range(9):
             np.testing.assert_allclose(full[i], predict_full(T[i], draw, data, model, rng),
                                        rtol=1e-12, atol=1e-12)
-
-    def test_requires_missing_and_observed(self):
-        model, data, draw, S, _, _ = setup(n=8, q=2, seed=13)
-        with pytest.raises(ValidationError):
-            predict_partial(np.array([0.5, 0.5]), np.array([1.0, 2.0]),
-                            draw, data, model, ZeroRng())
-        with pytest.raises(ValidationError):
-            predict_partial(np.array([0.5, 0.5]), np.array([np.nan, np.nan]),
-                            draw, data, model, ZeroRng())
 
 
 class TestPriorSimulation:
