@@ -1,8 +1,8 @@
 """Fitting the multivariate response model and recovering parameters.
 
 Simulates a trivariate dataset with known kernels and cross-covariance, runs
-a short MCMC chain (joint adaptive Metropolis for the kernel parameters,
-conjugate draws for Sigma and beta), and prints posterior summaries next to
+a short MCMC chain (per-component adaptive Metropolis for the kernel
+parameters with Sigma integrated out, conjugate draws for Sigma and beta), and prints posterior summaries next to
 the generating values.
 
 Run:  python demos/03_response_model_fit.py     (about a minute)
@@ -29,8 +29,8 @@ zc = zero_distance_cross_corr(gen)
 d = np.sqrt(np.diag(zc))
 rho_truth = (zc / np.outer(d, d))[np.triu_indices(q, 1)]
 
-config = RunConfig(model="response", theta_mode="full", theta_update="joint",
-                   vecchia_m=15, iters=2500, burn=1250, thin=1, seed=99,
+config = RunConfig(model="response", theta_mode="full", vecchia_m=15,
+                   iters=2500, burn=1250, thin=1, seed=99,
                    zero_corr_draws=64).validate()
 chain = run_chain(config, OutcomeMatrix(Y), S)
 print(f"finished: {chain.meta['n_draws']} stored draws, "

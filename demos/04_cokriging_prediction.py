@@ -31,7 +31,7 @@ Y = Y_all[:n_train]
 T = S_all.coords[n_train:]
 Y_test = Y_all[n_train:]
 
-config = RunConfig(model="response", theta_update="joint", vecchia_m=15,
+config = RunConfig(model="response", vecchia_m=15,
                    iters=2000, burn=1000, seed=5, zero_corr_draws=0).validate()
 data = OutcomeMatrix(Y)
 chain = run_chain(config, data, S)

@@ -18,7 +18,7 @@ from .ioxcore import (IoxModel, OutcomeMatrix, avg_cross_corr, conditional_logli
 from .inference import (Chain, McmcState, Priors, default_priors,
                         draw_inverse_wishart, run_chain, update_beta_response,
                         update_cluster_assignments, update_delta, update_sigma,
-                        update_theta_block, update_theta_joint,
+                        update_theta_joint,
                         update_w_single_outcome, update_w_single_site)
 from .predict import (PosteriorDraw, PredictionRequest, posterior_predictive,
                       predict_full, predict_partial,
@@ -40,7 +40,7 @@ __all__ = [
     "parse_config", "posterior_predictive", "predict_full", "predict_partial",
     "run_chain", "simulate_prior_nonreference", "simulate_prior_reference",
     "update_beta_response", "update_cluster_assignments",
-    "update_delta", "update_sigma", "update_theta_block", "update_theta_joint",
+    "update_delta", "update_sigma", "update_theta_joint",
     "update_w_single_outcome", "update_w_single_site",
     "zero_distance_cross_corr",
 ]

@@ -38,7 +38,6 @@ class RunConfig:
 
     model: str = "response"
     theta_mode: str = "full"
-    theta_update: str = "auto"
     cluster_k1: int = 1
     grid_nu_values: list = field(default_factory=list)
     grid_phi: float = None
@@ -80,11 +79,6 @@ class RunConfig:
             raise ValidationError(f"model must be response or latent, got {self.model}")
         if self.theta_mode not in ("full", "grid", "cluster"):
             raise ValidationError(f"bad theta_mode {self.theta_mode}")
-        if self.theta_update not in ("auto", "block", "joint"):
-            raise ValidationError(f"bad theta_update {self.theta_update}")
-        if self.theta_update == "joint" and self.theta_mode != "full":
-            raise ValidationError(
-                f"theta_update = joint needs theta_mode = full, got {self.theta_mode}")
         if self.w_update not in ("outcome", "site"):
             raise ValidationError(f"bad w_update {self.w_update}")
         if self.order_scheme not in ("random", "coordinate-sum"):

@@ -166,11 +166,15 @@ def predict_partial(t, y_obs, draw, data, model, rng, X_t=None, include_noise=Tr
     q = y_obs.shape[1]
     miss = np.isnan(y_obs)
     full = miss.all(axis=1)
-    part = miss.any(axis=1) & ~full
+    need = miss.any(axis=1)  # fully observed rows pass through, with no moments
+    part = need & ~full
     X_t = np.ones((T.shape[0], data.p)) if X_t is None else np.atleast_2d(X_t)
-    mean, r = _site_mean_r(T, X_t, draw, data, model)
+    mean, r = np.zeros(y_obs.shape), np.zeros(y_obs.shape)
+    coin = np.full(T.shape[0], -1)
+    if need.any():
+        mean[need], r[need] = _site_mean_r(T[need], X_t[need], draw, data, model)
+        coin[need] = model._pred_geometry(T[need])["coin"]  # cached by _site_mean_r
     dvec = _scale(r, draw, model, True)
-    coin = model._pred_geometry(T)["coin"]  # cached by _site_mean_r
     on_ref = coin >= 0
     latent = draw.W is not None
     # standard normals per predicted entry: the field's, plus the noise's

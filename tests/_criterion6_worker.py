@@ -27,8 +27,8 @@ def run(seed):
     zc = zero_distance_cross_corr(gen)
     dd = np.sqrt(np.diag(zc))
     rho_truth = (zc / np.outer(dd, dd))[np.triu_indices(q, 1)]
-    cfg = RunConfig(model="response", theta_mode="full", theta_update="joint",
-                    vecchia_m=15, iters=5000, burn=2500, thin=1,
+    cfg = RunConfig(model="response", theta_mode="full", vecchia_m=15,
+                    iters=5000, burn=2500, thin=1,
                     seed=seed, zero_corr_draws=64).validate()
     chain = run_chain(cfg, OutcomeMatrix(Y), S)
     th = chain.draws["theta"]

@@ -422,7 +422,7 @@ def test_criterion_9_prediction_beats_nonspatial():
     S = LocationSet(S_all.coords[:n_train])
     Y = Y_all[:n_train]
     T, Y_test = S_all.coords[n_train:], Y_all[n_train:]
-    cfg = RunConfig(model="response", theta_update="joint", vecchia_m=15,
+    cfg = RunConfig(model="response", vecchia_m=15,
                     iters=2500, burn=1250, seed=17, zero_corr_draws=0).validate()
     data = OutcomeMatrix(Y)
     chain = run_chain(cfg, data, S)

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py on canned harness results: the side that runs first
 alternates, each pair has its own seed, wins follow each metric's direction,
 ``--record`` writes the printed figures as JSON, and a run that reports
-``correct: false`` fails the command."""
+``correct: false`` fails the command. Also the pooling of tools/bench_record.py's
+ESS mode on canned fits."""
 
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 import bench_pairs  # noqa: E402
+import bench_record  # noqa: E402
 
 
 @pytest.fixture
@@ -77,3 +79,25 @@ def test_record_writes_table(tmp_path, fake_runs, capsys):
     line = next(ln for ln in capsys.readouterr().out.splitlines()
                 if ln.startswith("wall_s"))
     assert line.split()[2] == "1.015/1.02/1.025"
+
+
+def test_ess_mode_pools_seeds_and_keeps_other_entries(tmp_path, monkeypatch):
+    cfgs = []
+
+    def ess_run(checkout, seed, cfg_text):
+        cfgs.append(cfg_text)
+        return {"seed": seed, "wall_s": 2.0, "ess_per_s_theta_min": 1.0,
+                "ess_theta": {"phi_1": 10.0 * seed, "tau2_1": 4.0}, "ess_loglik": 6.0}
+    monkeypatch.setattr(bench_record, "ess_run", ess_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCH_x.json").write_text(json.dumps({"ess": {"old": 1}, "pairs": 2}))
+    bench_record.main(["--label", "x", "--ess", "new", "--iters", "20", "--burn", "10",
+                       "--set", "theta_mode = full"])
+    rec = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert rec["pairs"] == 2 and rec["ess"]["old"] == 1
+    # per entry: ESS summed over the three seeds over the summed wall time
+    pooled = rec["ess"]["new"]["pooled"]
+    assert pooled["ess_per_s_theta"] == {"phi_1": 10.0, "tau2_1": 2.0}
+    assert pooled["ess_per_s_theta_min"] == 2.0 and pooled["ess_per_s_loglik"] == 3.0
+    assert [c.splitlines()[-1] for c in cfgs] == ["seed = 1", "seed = 2", "seed = 3"]
+    assert "iters = 20\nburn = 10\n" in cfgs[0] and "theta_mode = full\n" in cfgs[0]

@@ -33,7 +33,6 @@ sim.sigma = 1, -0.9, 0.7; -0.9, 1, -0.5; 0.7, -0.5, 1
 FIT_CFG = """
 model = response
 theta_mode = full
-theta_update = joint
 vecchia_m = 8
 iters = 10
 burn = 5
@@ -101,9 +100,10 @@ class TestFit:
                      "summary.csv", "summary.txt"):
             assert (out / stem).exists() or (out / f"{stem}.csv").exists()
         # m = 8 > M1: every in-box proposal is screened, and only a stage-1
-        # survivor can be accepted
+        # survivor can be accepted; one proposal per component (q = 3) and
+        # iteration
         acc = json.load(open(out / "meta.json"))["acceptance"]
-        assert acc["theta_proposals"] == 10
+        assert acc["theta_proposals"] == 30
         assert acc["theta_accepts"] <= acc["theta_stage2_runs"] <= acc["theta_proposals"]
         assert acc["theta_build_failures"] == 0
         line = next(ln for ln in (out / "summary.txt").read_text().splitlines()
@@ -120,16 +120,19 @@ class TestFit:
                    "--out", str(tmp_path / "c")])
         assert rc == 2
 
-    @pytest.mark.parametrize("mode", ["theta_mode = cluster\ncluster.k1 = 2",
+    @pytest.mark.parametrize("mode", ["theta_mode = full",
+                                      "theta_mode = cluster\ncluster.k1 = 2",
                                       "theta_mode = grid\ngrid.nu_values = 0.5, 1.5"],
-                             ids=["cluster", "grid"])
+                             ids=["full", "cluster", "grid"])
     def test_joint_update_needs_full_mode(self, sim_file, tmp_path, capsys, mode):
+        # one theta move now serves every kernel mode, so a config that still
+        # names the old selector is refused as an unknown key in each of them
         cfg = tmp_path / "fit.cfg"
-        write(cfg, FIT_CFG.replace("theta_mode = full", mode))
+        write(cfg, FIT_CFG.replace("theta_mode = full", mode) + "theta_update = joint\n")
         rc = main(["fit", "--config", str(cfg), "--data", str(sim_file),
                    "--out", str(tmp_path / "chain")])
         assert rc == 2
-        assert "theta_update = joint needs theta_mode = full" in capsys.readouterr().err
+        assert "unknown key 'theta_update'" in capsys.readouterr().err
         assert not (tmp_path / "chain").exists()
 
     def test_thin_not_dividing_stored_span(self, sim_file, tmp_path):
@@ -417,7 +420,7 @@ def constructed_chain(path, coords, names, nu, tau2, nd=3):
              "loglik": np.zeros(nd)}
     meta = {"n": coords.shape[0], "q": q, "p": 1, "iters": nd, "burn": 0, "thin": 1,
             "seed": 5, "model": "response", "theta_mode": "full",
-            "theta_update": "joint", "vecchia_m": 8, "n_draws": nd,
+            "vecchia_m": 8, "n_draws": nd,
             "acceptance_rate": 0.5}
     write_chain(path, Chain(draws, {}, {}, meta),
                 RunConfig(vecchia_m=8, seed=5).validate(), dataset_hash(coords), names)
@@ -428,7 +431,7 @@ class TestLatentCli:
     def test_latent_fit_and_predict(self, sim_file, tmp_path):
         cfg = tmp_path / "lat.cfg"
         write(cfg, "model = latent\nvecchia_m = 6\niters = 16\nburn = 8\n"
-                   "seed = 4\ntheta_update = joint\nstore_w = 4\n"
+                   "seed = 4\nstore_w = 4\n"
                    "zero_corr_draws = 2\n")
         out = tmp_path / "lchain"
         assert main(["fit", "--config", str(cfg), "--data", str(sim_file),
@@ -514,16 +517,6 @@ class TestHelpers:
         write_dataset(p, np.arange(50, dtype=float)[:, None] / 7.0, vals[:, None])
         _, Y, _, _ = read_dataset(p)
         assert np.array_equal(Y[:, 0], vals)
-
-    def test_theta_update_mode_combinations(self):
-        for mode in ("cluster", "grid"):
-            with pytest.raises(ValidationError, match="needs theta_mode = full"):
-                parse_config(f"theta_mode = {mode}\ntheta_update = joint\n"
-                             "grid.nu_values = 0.5\n")
-            for update in ("auto", "block"):
-                parse_config(f"theta_mode = {mode}\ntheta_update = {update}\n"
-                             "grid.nu_values = 0.5\n")
-        parse_config("theta_mode = full\ntheta_update = joint\n")
 
     def test_unknown_config_key(self):
         for text in ("modle = response\n", "predict.quantiles = 0.1, 0.9\n",

@@ -1,23 +1,27 @@
 """Tests for the MCMC machinery: distribution samplers, conjugate updates,
 Metropolis moves, latent-field updates, clustering, and the chain driver."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import gammaln
 
 from spiox.config import RunConfig
 from spiox.errors import NumericalError, ValidationError
 from spiox.geom import LocationSet
-from spiox.inference import (AdaptiveScale, McmcState, Priors, SiteSweep,
-                             _two_stage_accept, default_priors, draw_inverse_wishart, pcg_solve,
+from spiox.inference import (JointAdaptive, McmcState, Priors, Sampler, SiteSweep,
+                             _new_counts, _two_stage_accept, collapsed_loglik,
+                             default_priors, draw_inverse_wishart, pcg_solve,
                              run_chain, sweep_w_sites,
                              update_beta_latent, update_beta_response,
                              update_cluster_assignments, update_delta,
-                             update_sigma, update_theta_block,
-                             update_theta_joint, update_w_single_outcome,
-                             update_w_single_site)
+                             update_sigma, update_theta_joint,
+                             update_w_single_outcome, update_w_single_site)
 from spiox.ioxcore import (IoxModel, OutcomeMatrix, conditional_loglik,
                            whiten_columns)
-from spiox.kernels import KernelParams
+from spiox.kernels import KernelParams, corr_matrix
 from spiox.predict import simulate_prior_reference
 
 from conftest import dense_iox_cov, mvn_condition, rand_locations, rand_spd
@@ -226,35 +230,62 @@ class TestThetaUpdates:
     def test_identity_proposal_accepts(self):
         model, data, state, *_ = small_problem(seed=12)
         pr = default_priors(model.S, 2)
-        theta_before = model.theta[0]
+        theta_before = list(model.theta)
         # zero-step proposals keep theta (up to log/exp round-trip), ratio 1
-        acc, th = update_theta_block(0, state, pr, SeqRng(uniform=0.0))
-        assert acc == 3
-        assert th.phi == pytest.approx(theta_before.phi, rel=1e-15)
-        assert th.nu == pytest.approx(theta_before.nu, rel=1e-15)
-        assert th.tau2 == pytest.approx(theta_before.tau2, rel=1e-15)
+        acc, th = update_theta_joint(state, pr, SeqRng(uniform=0.0))
+        assert acc == 2
+        for before, after in zip(theta_before, th):
+            assert after.phi == pytest.approx(before.phi, rel=1e-15)
+            assert after.nu == pytest.approx(before.nu, rel=1e-15)
+            assert after.tau2 == pytest.approx(before.tau2, rel=1e-15)
 
-    def test_out_of_support_rejects(self):
+    def test_out_of_support_rejects(self, monkeypatch):
         model, data, state, *_ = small_problem(seed=13)
         pr = default_priors(model.S, 2)
-        big = [np.array(50.0)] * 6
-        acc, th = update_theta_block(0, state, pr, SeqRng(normals=big, uniform=0.0))
+        model.surrogate_factors  # the current surrogates, built before the move
+
+        def no_build(p):
+            raise AssertionError("an out-of-box proposal built a factor")
+        monkeypatch.setattr(model, "_build_factor", no_build)
+        monkeypatch.setattr(model.surrogate_workspace, "build", no_build)
+        counts = _new_counts()
+        big = [np.array(50.0)] * 2
+        acc, th = update_theta_joint(state, pr, SeqRng(normals=big, uniform=0.0),
+                                     counts=counts)
         assert acc == 0
+        assert counts == {"theta_proposals": 2, "theta_accepts": 0,
+                          "theta_stage2_runs": 0, "theta_build_failures": 0}
 
     def test_block_rebuilds_factor_on_accept(self):
         model, data, state, *_ = small_problem(seed=14)
         pr = default_priors(model.S, 2)
-        f_before = model.factors[0]
-        acc, _ = update_theta_block(0, state, pr, np.random.default_rng(3))
-        if acc:
-            assert model.factors[0] is not f_before
+        f_before = model.factors
+        acc, th = update_theta_joint(state, pr, np.random.default_rng(3))
+        # an accepted component installs a new factor, a rejected one keeps its own
+        assert acc == sum(model.factors[c] is not f_before[c] for c in range(2))
+        for c in range(2):
+            assert model.factors[c].params == th[c]
         assert state.check_V(1e-10)
 
     def test_joint_accept_updates_all(self):
+        # uniform 0 accepts every proposal with a positive acceptance
+        # probability: small steps move every component, and each installs
+        # the factor and the surrogate of its new params
         model, data, state, *_ = small_problem(seed=15)
         pr = default_priors(model.S, 2)
-        ok, _ = update_theta_joint(state, pr, SeqRng(uniform=0.0))
-        assert ok  # identical proposal accepted with probability 1
+        before = list(model.theta)
+        counts = _new_counts()
+        acc, th = update_theta_joint(state, pr, SeqRng([np.full(3, 0.05)] * 2, uniform=0.0),
+                                     counts=counts)
+        assert acc == 2 and counts["theta_accepts"] == 2
+        assert counts["theta_stage2_runs"] == 2
+        G = state.gp_matrix()
+        for c in range(2):
+            assert th[c] != before[c]
+            assert model.factors[c].params == th[c]
+            fresh = model.surrogate_workspace.build(th[c])
+            assert np.array_equal(model.surrogate_factors[c].whiten(G[:, c]),
+                                  fresh.whiten(G[:, c]))
         assert state.check_V(1e-10)
 
     def test_mh_log_ratio_antisymmetric(self):
@@ -277,14 +308,14 @@ class TestThetaUpdates:
         assert abs(r_ab + r_ba) <= 1e-10
 
     def test_adaptive_scale_freeze(self):
-        sc = AdaptiveScale(dim=1, target=0.44)
-        s0 = sc.scale(0)
-        sc.step(0, 1.0)
-        assert sc.scale(0) > s0
+        sc = JointAdaptive(1, target=0.3)
+        s0 = sc.log_s
+        sc.update(1.0, np.zeros(1))
+        assert sc.log_s > s0
         sc.frozen = True
-        s1 = sc.scale(0)
-        sc.step(0, 1.0)
-        assert sc.scale(0) == s1
+        s1, count = sc.log_s, sc.count
+        sc.update(1.0, np.ones(1))
+        assert sc.log_s == s1 and sc.count == count
 
     def test_block_acceptance_window_after_adaptation(self):
         rng = np.random.default_rng(20)
@@ -299,16 +330,96 @@ class TestThetaUpdates:
                          order_seed=0)
         state = McmcState(model, data, B=np.zeros((1, q)))
         pr = default_priors(S, q)
-        scales = [AdaptiveScale(dim=3, target=0.44) for _ in range(q)]
+        scales = [JointAdaptive(3, target=0.3) for _ in range(q)]
         total = accepted = 0
         for it in range(400):
-            for j in range(q):
-                a, _ = update_theta_block(j, state, pr, rng, scales=scales[j])
-                if it >= 200:
-                    accepted += a
-                    total += 3
+            a, _ = update_theta_joint(state, pr, rng, scales=scales)
+            if it >= 200:
+                accepted += a
+                total += q
         rate = accepted / total
         assert 0.1 <= rate <= 0.5
+
+
+def _log_marginal_by_quadrature(y, R, nu0, psi):
+    """log of the integral over sigma2 of N(y | 0, sigma2 R) IG(sigma2; nu0/2,
+    psi/2), the q = 1 inverse-Wishart prior, by quadrature over log sigma2."""
+    n = len(y)
+    logdet = np.linalg.slogdet(R)[1]
+    quadform = float(y @ np.linalg.solve(R, y))
+    a, b = nu0 / 2, psi / 2
+
+    def log_f(u):  # integrand in u = log sigma2, Jacobian included
+        return (-0.5 * n * (math.log(2 * math.pi) + u) - 0.5 * logdet
+                - 0.5 * quadform * math.exp(-u)
+                + a * math.log(b) - gammaln(a) - a * u - b * math.exp(-u))
+    # the mode of log_f, where the integrand peaks
+    u0 = math.log((quadform / 2 + b) / (n / 2 + a))
+    top = log_f(u0)
+    val, _ = quad(lambda u: math.exp(log_f(u) - top), u0 - 40, u0 + 40,
+                  epsabs=0.0, epsrel=1e-13, limit=400, points=[u0])
+    return top + math.log(val)
+
+
+class TestCollapsedTarget:
+    """The Sigma-collapsed theta target against an independent integration
+    over sigma2 at q = 1, where the inverse-Wishart prior is an inverse
+    gamma, and the law of a long exact-path chain driven by it."""
+
+    def test_q1_matches_quadrature_over_sigma2(self):
+        n = 14
+        S = rand_locations(n, seed=40)
+        y = np.random.default_rng(40).standard_normal(n)
+        pr = Priors(sigma_df=3.0, sigma_scale=np.array([[0.7]])).validate(1)
+        thetas = [KernelParams(6.0, 0.8, 1e-2), KernelParams(15.0, 1.4, 3e-2),
+                  KernelParams(25.0, 0.5, 1e-3)]
+        ours, oracle = [], []
+        for p in thetas:
+            for m in (0, n - 1):
+                model = IoxModel(S, [p], np.eye(1), m=m, order_scheme=np.arange(n))
+                f = model.factor_for(0)
+                ours.append(collapsed_loglik(f.sum_log_diag(), f.whiten(y)[:, None], pr))
+            oracle.append(_log_marginal_by_quadrature(y, corr_matrix(S, S, p), 3.0, 0.7))
+        # the collapsed target drops a constant free of theta: compare ratios
+        for i in range(len(thetas)):
+            for m in range(2):
+                want = oracle[i] - oracle[0]
+                assert abs((ours[2 * i + m] - ours[0]) - want) <= 1e-8
+
+    def test_exact_chain_matches_quadrature_posterior(self):
+        # m = 0 (single stage), n = 12, q = 1, only phi free: the chain's mean
+        # and variance of log phi against the posterior on a grid of log phi,
+        # each grid value integrated over sigma2 by quadrature
+        n = 12
+        S = rand_locations(n, seed=41)
+        nu, tau2 = 0.9, 1e-2
+        gen = IoxModel(S, [KernelParams(8.0, nu, tau2)], np.array([[1.5]]), m=0)
+        y = simulate_prior_reference(gen, np.random.default_rng(41))
+        pr = Priors(sigma_df=3.0, phi_bounds=(1.0, 60.0), nu_bounds=(nu, nu),
+                    tau2_bounds=(tau2, tau2)).validate(1)
+        u = np.linspace(math.log(1.0), math.log(60.0), 801)
+        logpost = np.array([_log_marginal_by_quadrature(
+            y[:, 0], corr_matrix(S, S, KernelParams(math.exp(v), nu, tau2)), 3.0, 1.0) + v
+            for v in u])
+        w = np.exp(logpost - logpost.max())
+        w /= np.trapezoid(w, u)
+        mean = np.trapezoid(u * w, u)
+        var = np.trapezoid((u - mean) ** 2 * w, u)
+
+        model = IoxModel(S, [KernelParams(8.0, nu, tau2)], np.eye(1), m=0)
+        state = McmcState(model, OutcomeMatrix(y), B=np.zeros((1, 1)))
+        rng = np.random.default_rng(42)
+        scales = [JointAdaptive(1, target=0.3)]
+        burn, keep = 1000, 20000
+        xs = np.empty(keep)
+        for it in range(burn + keep):
+            if it == burn:
+                scales[0].frozen = True
+            update_theta_joint(state, pr, rng, scales=scales)
+            if it >= burn:
+                xs[it - burn] = math.log(model.theta[0].phi)
+        assert TestTwoStageAccept.within_4se(xs, mean)
+        assert TestTwoStageAccept.within_4se((xs - mean) ** 2, var)
 
 
 class TestTwoStageAccept:
@@ -618,7 +729,7 @@ class TestRunChain:
     def test_bitwise_determinism(self):
         data, S = self._data()
         cfg = RunConfig(iters=40, burn=20, vecchia_m=5, seed=2,
-                        theta_update="joint", zero_corr_draws=4).validate()
+                        zero_corr_draws=4).validate()
         a = run_chain(cfg, data, S)
         b = run_chain(cfg, data, S)
         for k in a.draws:
@@ -630,8 +741,8 @@ class TestRunChain:
         data, S = self._data(n=30)
         for mode in ("outcome", "site"):
             cfg = RunConfig(model="latent", iters=30, burn=15, vecchia_m=6,
-                            seed=3, w_update=mode, theta_update="joint",
-                            store_w=5, zero_corr_draws=0).validate()
+                            seed=3, w_update=mode, store_w=5,
+                            zero_corr_draws=0).validate()
             ch = run_chain(cfg, data, S)
             assert ch.meta["n_draws"] == 15
             assert ch.w_draws is not None
@@ -653,10 +764,23 @@ class TestRunChain:
         ch = run_chain(cfg, data, S)
         assert ch.meta["n_draws"] == 20
 
+    def test_scan_order_draws_sigma_right_after_theta(self):
+        # the theta step integrates Sigma out, so Sigma must be drawn next
+        data, S = self._data(n=20)
+        modes = {"full": ({}, []), "cluster": ({"cluster_k1": 2}, ["pi"]),
+                 "grid": ({"grid_nu_values": [0.5]}, ["pi"])}
+        for mode, (extra, head) in modes.items():
+            for model, tail in (("response", []), ("latent", ["w", "delta"])):
+                cfg = RunConfig(theta_mode=mode, model=model, vecchia_m=5, iters=1,
+                                burn=0, **extra).validate()
+                theta = [] if mode == "grid" else ["theta"]
+                assert [nm for nm, _ in Sampler(cfg, data, S).steps] == \
+                    head + theta + ["sigma", "beta"] + tail + ["store"]
+
     def test_sigma_always_spd(self):
         data, S = self._data(n=25, seed=33)
         cfg = RunConfig(iters=50, burn=0, vecchia_m=5, seed=6,
-                        theta_update="joint", zero_corr_draws=0).validate()
+                        zero_corr_draws=0).validate()
         ch = run_chain(cfg, data, S)
         for Sg in ch.draws["sigma"]:
             np.linalg.cholesky(Sg)

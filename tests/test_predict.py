@@ -234,7 +234,7 @@ class TestPredictPartial:
                                             np.random.default_rng(0))
 
     @pytest.mark.parametrize("m, latent", [(0, False), (6, False), (6, True)])
-    def test_stack_equals_single_site_calls(self, m, latent):
+    def test_stack_equals_single_site_calls(self, m, latent, monkeypatch):
         model, data, draw, S, _, _ = setup(n=16, q=3, seed=43, m=m, tau2=1e-2)
         if latent:
             rng = np.random.default_rng(44)
@@ -249,7 +249,17 @@ class TestPredictPartial:
         for i, pat in enumerate([[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1],
                                  [1, 1, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1], [0, 0, 0]]):
             y_obs[i, np.array(pat, bool)] = np.nan
+        seen = []
+        h_r = model.h_r_compact
+
+        def spy(Tq, j):
+            seen.append(len(Tq))
+            return h_r(Tq, j)
+        monkeypatch.setattr(model, "h_r_compact", spy)
         stack = predict_partial(T, y_obs, draw, data, model, np.random.default_rng(7))
+        monkeypatch.undo()
+        # moments are computed for the eight rows with a missing entry only
+        assert seen == [8, 8, 8]
         assert np.array_equal(stack[8], y_obs[8])
         rng = np.random.default_rng(7)
         for i in range(9):
