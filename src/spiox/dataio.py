@@ -245,15 +245,15 @@ def read_chain(outdir):
 
 
 def ess(x):
-    """Effective sample size via Geyer's initial positive sequence."""
+    """Effective sample size via Geyer's initial positive sequence; NaN for a
+    series of two or more draws that never moved."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     if n <= 1:
         return float(n)
+    if np.ptp(x) == 0:
+        return float("nan")
     x = x - x.mean()
-    var = float(x @ x) / n
-    if var <= 0:
-        return float(n)
     nfft = int(2 ** np.ceil(np.log2(2 * n)))
     f = np.fft.rfft(x, nfft)
     acov = np.fft.irfft(f * np.conj(f))[:n].real / n

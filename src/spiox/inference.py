@@ -452,24 +452,28 @@ def update_theta_joint(state, priors, rng, scales=None, counts=None):
     return accepted, model.theta
 
 
-def update_cluster_assignments(state, rng):
-    """Sequential Gibbs scan over outcomes: each pi(j) is drawn from the
-    discrete full conditional over the k components, evaluated through the
-    single-outcome conditional density under each candidate factor."""
+def update_cluster_assignments(state, priors, rng):
+    """Sequential Gibbs scan over outcomes on the target of
+    :func:`update_theta_joint`, with Sigma integrated out: each pi(j) is drawn
+    from its discrete full conditional over the k components, candidate c
+    scored by :func:`collapsed_loglik` with column j whitened under c's factor
+    and j counted among c's members. Sigma is never read. A candidate whose
+    target is not finite gets probability 0."""
     model, G = state.model, state.gp_matrix()
-    n, q, k = model.n, model.q, model.k
-    Q = model.Q
+    k = model.k
     sld = np.array([f.sum_log_diag() for f in model.factors])
-    for j in range(q):
-        base = state.V @ Q[j] - Q[j, j] * state.V[:, j]
-        logits = np.empty(k)
+    for j in range(model.q):
+        size = np.bincount(np.delete(model.assignments, j), minlength=k)
+        logits = np.full(k, -math.inf)
         cands = []
         for c in range(k):
-            vjc = model.factors[c].whiten(G[:, j])
-            u = base + Q[j, j] * vjc
-            logits[c] = 0.5 * n * math.log(Q[j, j]) + sld[c] \
-                - float(u @ u) / (2.0 * Q[j, j])
-            cands.append(vjc)
+            V = state.V.copy()
+            V[:, j] = model.factors[c].whiten(G[:, j])
+            cands.append(V[:, j])
+            try:
+                logits[c] = collapsed_loglik((size + (np.arange(k) == c)) @ sld, V, priors)
+            except NumericalError:
+                pass
         if not np.any(np.isfinite(logits)):
             raise NumericalError(f"all cluster candidates non-finite for outcome {j}")
         w = np.exp(logits - logits.max())
@@ -678,13 +682,12 @@ def _init_theta(priors, free):
 
 
 def _profile_loglik_init(resid, S, priors, free, order_seed=0):
-    """Deterministic starting values from a coarse per-outcome grid search.
+    """Deterministic starting kernels from a coarse per-outcome grid search.
 
     For each outcome, the univariate Vecchia log-likelihood with the sill
-    profiled out is maximized over a small (phi, nu, tau2) grid; the whitened
-    columns under those kernels then give a moment estimate of Sigma. This
-    lands the chain near the posterior mode, which matters because the
-    (theta_j, sigma_jj) pairs are strongly coupled.
+    profiled out is maximized over a small (phi, nu, tau2) grid. This lands
+    the chain near the posterior mode. Sigma needs no start value: the theta
+    step integrates it out and the Sigma step follows.
     """
     from .geom import build_nn_dag
     from .vecchia import VecchiaWorkspace
@@ -704,7 +707,7 @@ def _profile_loglik_init(resid, S, priors, free, order_seed=0):
     grid = [KernelParams(phi=p, nu=v, tau2=t)
             for p in axis("phi", 6) for v in axis("nu", 5, log=False)
             for t in axis("tau2", 3)]
-    best = [None] * q      # per outcome: (ll, p, v), scored as each factor is built
+    best = [None] * q      # per outcome: (ll, p), scored as each factor is built
     for p in grid:
         try:
             G = ws.build(p)
@@ -715,30 +718,13 @@ def _profile_loglik_init(resid, S, priors, free, order_seed=0):
             rss = float(v @ v)
             ll = G.sum_log_diag() - 0.5 * n * math.log(max(rss / n, 1e-300))
             if best[j] is None or ll > best[j][0]:
-                best[j] = (ll, p, v)
-    thetas = [b[1] for b in best]
-    V = np.column_stack([b[2] for b in best])
-    Sigma = V.T @ V / n
-    Sigma = 0.5 * (Sigma + Sigma.T) + 1e-4 * np.trace(Sigma) / q * np.eye(q)
-    return thetas, Sigma
-
-
-def _init_sigma(resid):
-    q = resid.shape[1]
-    if resid.shape[0] > q + 1:
-        Sig = np.cov(resid, rowvar=False)
-        Sig = np.atleast_2d(Sig) + 1e-4 * np.eye(q) * max(np.trace(np.atleast_2d(Sig)) / q, 1e-8)
-        try:
-            np.linalg.cholesky(Sig)
-            return Sig
-        except np.linalg.LinAlgError:
-            pass
-    return np.eye(q)
+                best[j] = (ll, p)
+    return [b[1] for b in best]
 
 
 def _initial_state(config, data, S, priors, free):
-    """Starting model and state: least-squares beta, then kernel params and
-    Sigma from the profile grid search (full mode) or the prior box."""
+    """Starting model and state: least-squares beta, then kernel params from
+    the profile grid search (full mode), the grid, or the prior box."""
     n, q = data.n, data.q
     latent = config.model == "latent"
     B0 = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
@@ -746,18 +732,17 @@ def _initial_state(config, data, S, priors, free):
     assignments = None
     if config.theta_mode == "full":
         if free and n > 2 * q:
-            thetas, Sigma0 = _profile_loglik_init(resid0, S, priors, free,
-                                                  order_seed=config.seed)
+            thetas = _profile_loglik_init(resid0, S, priors, free, order_seed=config.seed)
         else:
-            thetas, Sigma0 = [_init_theta(priors, free)] * q, _init_sigma(resid0)
+            thetas = [_init_theta(priors, free)] * q
     else:
         if config.theta_mode == "grid":
             thetas = config.grid_thetas(priors)
         else:
             thetas = [_init_theta(priors, free)] * config.cluster_k1
-        Sigma0 = _init_sigma(resid0)
         assignments = np.arange(q) % len(thetas)
-    model = IoxModel(S, thetas, Sigma0, m=config.vecchia_m,
+    # no step reads Sigma before the Sigma step draws it
+    model = IoxModel(S, thetas, np.eye(q), m=config.vecchia_m,
                      assignments=assignments, order_seed=config.seed,
                      order_scheme=config.order_scheme)
     return McmcState(model, data, B0,
@@ -775,14 +760,12 @@ class Sampler:
     every prior box has zero width) is one call of
     :func:`update_theta_joint`, one proposal per component with Sigma
     integrated out, so Sigma comes right after it: the two make one blocked
-    (theta, Sigma) draw. pi goes first: placed right after a Sigma draw
-    fitted to the starting assignments, it stayed in their basin (on
-    criterion 8's data, 6 of 8 outcomes recovered in each of four seeds,
-    against 8 of 8 with pi first). ``run`` times each step under its name in
-    ``timings`` (``init`` is the set-up) and reports a NumericalError with
-    the iteration and step it came from. The steps call the module-level
-    update functions by name at call time, so wrappers bound over them take
-    effect.
+    (theta, Sigma) draw. pi and theta both integrate Sigma out, so both come
+    before the Sigma step, and Sigma needs no start value. ``run`` times each
+    step under its name in ``timings`` (``init`` is the set-up) and reports a
+    NumericalError with the iteration and step it came from. The steps call
+    the module-level update functions by name at call time, so wrappers bound
+    over them take effect.
     """
 
     def __init__(self, config, data, S):
@@ -833,7 +816,7 @@ class Sampler:
                            scales=self.theta_scales, counts=self.acc)
 
     def pi(self):
-        update_cluster_assignments(self.state, self.rng)
+        update_cluster_assignments(self.state, self.priors, self.rng)
 
     def sigma(self):
         update_sigma(self.state, self.priors, self.rng)

@@ -248,23 +248,18 @@ def simulate_prior_reference(model, rng):
 
 def simulate_prior_nonreference(T, model, rng):
     """Draw outcomes at non-reference sites T: simulate at S, then draw each
-    site from N(H(t) y_S, D Sigma D) (sites conditionally independent)."""
+    site from N(H(t) y_S, D Sigma D) (sites conditionally independent), as a
+    noise-free ``predict_full`` draw with the simulated values as the field."""
     Tc = T.coords if hasattr(T, "coords") else np.atleast_2d(np.asarray(T, dtype=float))
     if (model.coincidence(Tc) >= 0).any():
         raise ValidationError(
             "T overlaps the reference set; simulate at S with "
             "simulate_prior_reference and read the matching rows instead")
-    Ys = simulate_prior_reference(model, rng)
-    N, q = Tc.shape[0], model.q
-    mean = np.empty((N, q))
-    r = np.empty((N, q))
-    for j in range(q):
-        idx, vals, rj = model.h_r_compact(Tc, j)
-        mean[:, j] = np.einsum("tk,tk->t", vals, Ys[idx, j])
-        r[:, j] = rj
-    D = np.sqrt(np.maximum(r, 0.0))
-    Z = rng.standard_normal((N, q)) @ model.chol_sigma.T
-    return mean + D * Z
+    q = model.q
+    draw = PosteriorDraw(B=np.zeros((1, q)), Sigma=model.Sigma, theta=model.theta,
+                         W=simulate_prior_reference(model, rng))
+    return predict_full(Tc, draw, None, model, rng, X_t=np.zeros((Tc.shape[0], 1)),
+                        include_noise=False)
 
 
 def posterior_predictive(request, draws, data, model, rng, include_noise=True):

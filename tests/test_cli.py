@@ -511,6 +511,12 @@ class TestHelpers:
             x[i] = 0.98 * x[i - 1] + rng.standard_normal()
         assert ess(x) < 400
 
+    def test_ess_constant_series_is_nan(self):
+        # a series that never moved has no effective sample size
+        for x in (np.full(50, 3.25), np.full(7, 0.1), np.zeros(2)):
+            assert np.isnan(ess(x))
+        assert ess(np.array([0.1])) == 1.0
+
     def test_float_roundtrip_17_digits(self, tmp_path):
         vals = np.random.default_rng(2).standard_normal(50) * 1e3
         p = tmp_path / "x.csv"

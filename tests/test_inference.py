@@ -664,7 +664,8 @@ class TestClusterUpdates:
                          assignments=np.zeros(q, dtype=int))
         data = OutcomeMatrix(np.random.default_rng(8).standard_normal((n, q)))
         state = McmcState(model, data, B=np.zeros((1, q)))
-        pi = update_cluster_assignments(state, np.random.default_rng(9))
+        pi = update_cluster_assignments(state, Priors().validate(q),
+                                        np.random.default_rng(9))
         assert np.all(pi == 0)
 
     def test_identical_candidates_uniform(self):
@@ -676,10 +677,11 @@ class TestClusterUpdates:
         data = OutcomeMatrix(np.random.default_rng(10).standard_normal((n, 1)))
         state = McmcState(model, data, B=np.zeros((1, 1)))
         rng = np.random.default_rng(11)
+        pr = Priors().validate(1)
         counts = np.zeros(3)
         reps = 3000
         for _ in range(reps):
-            pi = update_cluster_assignments(state, rng)
+            pi = update_cluster_assignments(state, pr, rng)
             counts[pi[0]] += 1
         freq = counts / reps
         assert np.abs(freq - 1 / 3).max() <= 4 * np.sqrt((1 / 3) * (2 / 3) / reps)
@@ -702,12 +704,31 @@ class TestClusterUpdates:
         pr = default_priors(S, q)
         tallies = np.zeros((q, 2))
         for it in range(60):
-            pi = update_cluster_assignments(state, rng)
+            pi = update_cluster_assignments(state, pr, rng)
             update_sigma(state, pr, rng)
             if it >= 20:
                 for j in range(q):
                     tallies[j, pi[j]] += 1
         assert np.array_equal(tallies.argmax(axis=1), truth)
+
+    def test_collapsed_law_matches_quadrature(self):
+        # q = 1 and two kernels: P(pi = 1) from each candidate's likelihood
+        # with sigma2 integrated out by quadrature under the IG(nu0/2, psi/2)
+        # prior, against the frequency of independent Gibbs draws
+        n = 12
+        S = rand_locations(n, seed=60)
+        y = np.random.default_rng(60).standard_normal(n)
+        cands = [KernelParams(6.0, 0.5, 1e-2), KernelParams(15.0, 1.0, 3e-2)]
+        lm = [_log_marginal_by_quadrature(y, corr_matrix(S, S, p), 3.0, 0.7) for p in cands]
+        want = 1.0 / (1.0 + math.exp(lm[0] - lm[1]))
+        assert 0.2 < want < 0.8
+        model = IoxModel(S, cands, np.eye(1), m=0, assignments=np.zeros(1, dtype=int))
+        state = McmcState(model, OutcomeMatrix(y[:, None]), B=np.zeros((1, 1)))
+        pr = Priors(sigma_df=3.0, sigma_scale=np.array([[0.7]])).validate(1)
+        rng = np.random.default_rng(61)
+        reps = 3000
+        hits = sum(int(update_cluster_assignments(state, pr, rng)[0]) for _ in range(reps))
+        assert abs(hits / reps - want) <= 4 * math.sqrt(want * (1 - want) / reps)
 
 
 class TestRunChain:
@@ -776,6 +797,22 @@ class TestRunChain:
                 theta = [] if mode == "grid" else ["theta"]
                 assert [nm for nm, _ in Sampler(cfg, data, S).steps] == \
                     head + theta + ["sigma", "beta"] + tail + ["store"]
+
+    def test_sigma_start_value_is_never_read(self):
+        # pi and theta integrate Sigma out and come before the Sigma step, so
+        # another start value changes no draw
+        data, S = self._data(n=30)
+        modes = {"full": {}, "cluster": {"cluster_k1": 2},
+                 "grid": {"grid_nu_values": [0.9, 1.0]}}
+        for mode, extra in modes.items():
+            for model in ("response", "latent"):
+                cfg = RunConfig(theta_mode=mode, model=model, vecchia_m=5, iters=12,
+                                burn=0, seed=3, zero_corr_draws=0, **extra).validate()
+                moved = Sampler(cfg, data, S)
+                moved.model.set_sigma(50.0 * np.array([[1.0, 0.5], [0.5, 1.0]]))
+                a, b = Sampler(cfg, data, S).run(), moved.run()
+                for k in a.draws:
+                    assert np.array_equal(a.draws[k], b.draws[k]), (mode, model, k)
 
     def test_sigma_always_spd(self):
         data, S = self._data(n=25, seed=33)

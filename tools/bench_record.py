@@ -28,12 +28,14 @@ interpreter of the checkout with BLAS pinned to one thread, and records under
 kept): the ESS of every kernel-parameter entry and of the log-likelihood,
 the fit's wall time, ESS per second, the acceptance counters, and the
 posterior means of log10 tau2 with their Monte Carlo standard errors. ``pooled`` holds, per entry, the ESS summed
-over seeds divided by the summed wall time, and its minimum over entries.
+over seeds divided by the summed wall time, and its minimum over entries
+(an entry that never moved has a NaN ESS and is skipped).
 ``--set`` adds config lines (a parent's ``theta_update = block``, say).
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -80,6 +82,11 @@ np.savez(sys.argv[3], theta=ch.draws["theta"], loglik=ch.draws["loglik"],
 """
 
 
+def _min_moving(values):
+    """The smallest ESS, skipping the NaN of parameters that never moved."""
+    return min((v for v in values if not math.isnan(v)), default=math.nan)
+
+
 def ess_run(checkout, seed, cfg_text):
     """One fit of the ESS mode; returns its record."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -103,7 +110,7 @@ def ess_run(checkout, seed, cfg_text):
     return {"seed": seed, "wall_s": wall, "theta_s": info["timings"]["theta"],
             "acceptance_rate": info["acceptance_rate"], "acceptance": info["acceptance"],
             "ess_theta": dict(zip(names, ess_theta)), "ess_loglik": ess(loglik),
-            "ess_per_s_theta_min": min(ess_theta) / wall,
+            "ess_per_s_theta_min": _min_moving(ess_theta) / wall,
             "ess_per_s_loglik": ess(loglik) / wall,
             "mean_log10_tau2": np.log10(theta[:, :, 2]).mean(axis=0).tolist(),
             # Monte Carlo standard error of each mean: sd / sqrt(ESS)
@@ -133,7 +140,7 @@ def ess_mode(args, checkout):
     record.setdefault("ess", {})[args.ess] = {
         "config": cfg_text, "runs": runs,
         "pooled": {"ess_per_s_theta": pooled,
-                   "ess_per_s_theta_min": min(pooled.values()),
+                   "ess_per_s_theta_min": _min_moving(pooled.values()),
                    "ess_per_s_loglik": sum(r["ess_loglik"] for r in runs) / wall}}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
